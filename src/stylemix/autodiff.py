@@ -5,6 +5,13 @@ Everything computes in float64. A forward pass records onto an explicit
 in reverse and writes ``.grad`` buffers into every tensor that requires them.
 Without an active graph, ops run forward-only.
 
+Every convolution-family product is one 2-D GEMM: ``_im2col`` unrolls a
+zero-padded [B,C,H,W] input into columns [C*kh*kw, B*oh*ow], the batch folded
+into the columns, and ``_col2im`` is its exact adjoint, summing such columns
+back into [B,C,H,W]. conv2d forward, deconv2d's input gradient and both kernel
+gradients are im2col then GEMM; conv2d's input gradient and deconv2d forward
+are GEMM then col2im.
+
 Tensors are treated as immutable after creation except for their ``grad``
 buffer. A graph must stay confined to one thread; independent graphs over
 disjoint parameters may run concurrently.
@@ -436,53 +443,46 @@ def sigmoid(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> tuple:
-    """Window-extract a padded [B,C,H,W] array into [B, C*kh*kw, oh*ow]."""
-    b, c, h, w = xp.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    sb, sc, sh, sw = xp.strides
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple:
+    """Unroll [B,C,H,W], zero-padded on each side, into columns [C*kh*kw, B*oh*ow]."""
+    b, c, h, w = x.shape
+    if padding:
+        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding:-padding, padding:-padding] = x
+        x = xp
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    sb, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(b, c, kh, kw, oh, ow),
-        strides=(sb, sc, sh, sw, stride * sh, stride * sw),
-        writeable=False,
-    )
-    return windows.reshape(b, c * kh * kw, oh * ow), oh, ow
+        x, shape=(c, kh, kw, b, oh, ow),
+        strides=(sc, sh, sw, sb, stride * sh, stride * sw), writeable=False)
+    return windows.reshape(c * kh * kw, b * oh * ow), oh, ow
 
 
-def _conv_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
-    cout = w.shape[0]
-    xp = _pad2d(x, padding)
-    kh, kw = w.shape[2], w.shape[3]
-    cols, oh, ow = _im2col(xp, kh, kw, stride)
-    y = np.matmul(w.reshape(cout, -1), cols)
-    return y.reshape(x.shape[0], cout, oh, ow), cols
-
-
-def _deconv_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
-                oph: int, opw: int) -> np.ndarray:
-    # w is laid out (Cin, Cout, kh, kw); output = adjoint of the matching conv
-    b, ci, h, wd = x.shape
-    co, kh, kw = w.shape[1], w.shape[2], w.shape[3]
-    contrib = np.tensordot(x, w, axes=([1], [0]))  # (B, H, W, Cout, kh, kw)
-    contrib = contrib.transpose(0, 3, 4, 5, 1, 2)  # (B, Cout, kh, kw, H, W)
-    full_h = (h - 1) * stride + kh + oph
-    full_w = (wd - 1) * stride + kw + opw
-    full = np.zeros((b, co, full_h, full_w))
+def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, stride: int,
+            padding: int) -> np.ndarray:
+    """Adjoint of _im2col: sum columns back into a [B,C,H,W] array of ``shape``."""
+    b, c, h, w = shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    blocks = cols.reshape(c, kh, kw, b, oh, ow)
+    out = np.zeros((c, b, hp, wp))
     for u in range(kh):
         for v in range(kw):
-            full[:, :, u:u + (h - 1) * stride + 1:stride,
-                 v:v + (wd - 1) * stride + 1:stride] += contrib[:, :, u, v]
-    out_h = (h - 1) * stride - 2 * padding + kh + oph
-    out_w = (wd - 1) * stride - 2 * padding + kw + opw
-    return full[:, :, padding:padding + out_h, padding:padding + out_w]
+            out[:, :, u:u + (oh - 1) * stride + 1:stride,
+                v:v + (ow - 1) * stride + 1:stride] += blocks[:, u, v]
+    return out[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3)
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """[B,C,H,W] -> [C, B*H*W]: channels as GEMM rows, the batch folded into the columns."""
+    return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+
+
+def _unrows(m: np.ndarray, b: int, h: int, w: int) -> np.ndarray:
+    """[C, B*H*W] -> [B,C,H,W], the inverse of _rows."""
+    return m.reshape(-1, b, h, w).transpose(1, 0, 2, 3)
 
 
 def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
@@ -506,22 +506,19 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(
             f"conv2d: padded input {x.shape} smaller than kernel {w.shape[2:]}"
         )
-    y, cols = _conv_raw(x.data, w.data, stride, padding)
-    y += b.data[:, None, None]
-    out = Tensor(y)
-    oh, ow = y.shape[2], y.shape[3]
+    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
+    wmat = w.data.reshape(w.shape[0], -1)
+    out = Tensor(_unrows(wmat @ cols + b.data[:, None], x.shape[0], oh, ow))
 
     def vjp(g, needs):
         gx = gw = gb = None
+        grows = _rows(g)
         if needs[0]:
-            oph = x.shape[2] - ((oh - 1) * stride - 2 * padding + kh)
-            opw = x.shape[3] - ((ow - 1) * stride - 2 * padding + kw)
-            gx = _deconv_raw(g, w.data, stride, padding, oph, opw)
+            gx = _col2im(wmat.T @ grows, x.shape, kh, kw, stride, padding)
         if needs[1]:
-            gy = g.reshape(g.shape[0], g.shape[1], -1)
-            gw = np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+            gw = (grows @ cols.T).reshape(w.shape)
         if needs[2]:
-            gb = g.sum(axis=(0, 2, 3))
+            gb = grows.sum(axis=1)
         return gx, gw, gb
 
     return _record(out, (x, w, b), vjp)
@@ -546,28 +543,27 @@ def deconv2d(x, w, b, stride: int = 1, padding: int = 0, output_padding: int = 0
         )
     if b.shape != (w.shape[1],):
         raise ShapeError(f"deconv2d: bias shape {b.shape} does not match {w.shape[1]} filters")
-    kh = w.shape[2]
+    kh, kw = w.shape[2], w.shape[3]
     out_h = (x.shape[2] - 1) * stride - 2 * padding + kh + output_padding
-    out_w = (x.shape[3] - 1) * stride - 2 * padding + w.shape[3] + output_padding
+    out_w = (x.shape[3] - 1) * stride - 2 * padding + kw + output_padding
     if out_h < 1 or out_w < 1:
         raise ShapeError(
             f"deconv2d: output extent {out_h}x{out_w} < 1 for input {x.shape}"
         )
-    y = _deconv_raw(x.data, w.data, stride, padding, output_padding, output_padding)
-    y += b.data[:, None, None]
-    out = Tensor(y)
+    # deconv2d is the input gradient of the conv2d that maps its output to x
+    wmat = w.data.reshape(w.shape[0], -1)
+    xrows = _rows(x.data)
+    y = _col2im(wmat.T @ xrows, (x.shape[0], w.shape[1], out_h, out_w), kh, kw, stride, padding)
+    out = Tensor(y + b.data[:, None, None])
 
     def vjp(g, needs):
-        # adjoint of the adjoint is the plain convolution with the same kernel
         gx = gw = gb = None
         if needs[0] or needs[1]:
-            gp = _pad2d(g, padding)
-            cols, _, _ = _im2col(gp, w.shape[2], w.shape[3], stride)
+            cols, _, _ = _im2col(g, kh, kw, stride, padding)
         if needs[0]:
-            gx = np.matmul(w.data.reshape(w.shape[0], -1), cols).reshape(x.shape)
+            gx = _unrows(wmat @ cols, x.shape[0], x.shape[2], x.shape[3])
         if needs[1]:
-            xmat = x.data.reshape(x.shape[0], x.shape[1], -1)
-            gw = np.matmul(xmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+            gw = (xrows @ cols.T).reshape(w.shape)
         if needs[2]:
             gb = g.sum(axis=(0, 2, 3))
         return gx, gw, gb

@@ -110,12 +110,7 @@ def tradeoff_mix(f_con: Tensor, con_stats: ChannelStats, sty_stats: ChannelStats
     alpha 0 reproduces the content image's own style, alpha 1 is the fully
     stylized match.
     """
-    alpha = _check_alpha(alpha)
-    blended = ChannelStats(
-        mean=_blend(con_stats.mean, sty_stats.mean, alpha),
-        std=_blend(con_stats.std, sty_stats.std, alpha),
-    )
-    return statistic_match(f_con, blended, epsilon)
+    return style_interpolate(f_con, con_stats, sty_stats, alpha, epsilon)
 
 
 def style_interpolate(f_con: Tensor, stats1: ChannelStats, stats2: ChannelStats,
@@ -218,6 +213,26 @@ class NstConfig:
     image_channels: int = 3
     stat_epsilon: float = STAT_EPSILON
 
+    def __post_init__(self):
+        if not self.conv_plan:
+            raise ValueError("conv_plan must hold at least one (kernel, stride, channels) block")
+        for block in self.conv_plan:
+            if len(block) != 3:
+                raise ValueError(f"conv_plan block {block} is not (kernel, stride, channels)")
+            k, stride, channels = block
+            if k < 1 or k % 2 == 0 or stride < 1 or channels < 1:
+                raise ValueError(
+                    f"conv_plan block {block} needs an odd kernel >= 1, "
+                    f"stride >= 1 and channels >= 1"
+                )
+        if self.n_style_res < 0 or self.n_content_res < 0:
+            raise ValueError(
+                f"residual block counts must be >= 0, got {self.n_style_res} "
+                f"and {self.n_content_res}"
+            )
+        if self.image_channels < 1:
+            raise ValueError(f"image_channels must be >= 1, got {self.image_channels}")
+
     @property
     def mix_channels(self) -> int:
         return self.conv_plan[-1][2]
@@ -302,8 +317,16 @@ class NstNet:
         meta = arrays.get("meta.nst")
         if meta is None:
             raise ValueError("checkpoint does not describe a style transfer model (no meta.nst)")
+        meta = np.asarray(meta, dtype=np.float64)
+        if meta.ndim != 1 or meta.size < 1 or not np.isfinite(meta).all():
+            raise ValueError(f"meta.nst must be a finite vector, got shape {meta.shape}")
         meta = [int(v) for v in meta]
         n_blocks = meta[0]
+        if n_blocks < 1 or len(meta) != 4 + 3 * n_blocks:
+            raise ValueError(
+                f"meta.nst declares {n_blocks} conv blocks and holds {len(meta)} "
+                f"values; it needs at least 1 block and 4 + 3 values per block"
+            )
         plan = tuple(tuple(meta[1 + 3 * i: 4 + 3 * i]) for i in range(n_blocks))
         config = NstConfig(conv_plan=plan, n_style_res=meta[1 + 3 * n_blocks],
                            n_content_res=meta[2 + 3 * n_blocks],
@@ -408,11 +431,7 @@ class NstNet:
 
     def forward_tradeoff(self, style_img, content_img, alpha: float) -> Tensor:
         """Blend the content image's own statistics against the style's."""
-        con_stats = self.style_encode(content_img)
-        sty_stats = self.style_encode(style_img)
-        f, sizes = self.content_encode(content_img)
-        mixed = tradeoff_mix(f, con_stats, sty_stats, alpha, self.config.stat_epsilon)
-        return self.decode(mixed, sizes)
+        return self.forward_interpolate(content_img, style_img, content_img, alpha)
 
     def forward_interpolate(self, style1_img, style2_img, content_img,
                             alpha: float) -> Tensor:

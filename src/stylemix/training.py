@@ -17,7 +17,7 @@ import numpy as np
 
 from stylemix.autodiff import Graph, Tensor
 from stylemix.fontnet import FontNet, FontNetConfig, stack_triplets
-from stylemix.glyphs import Corpus, build_eval_sets, sample_training_batch
+from stylemix.glyphs import Corpus, sample_training_batch
 from stylemix.losses import l1_metric, pdar_metric, rmse_metric, weighted_l1_loss
 from stylemix.nst import FeatureExtractor, LossWeights, NstNet, nst_objective
 
@@ -278,14 +278,6 @@ def evaluate(net: FontNet, eval_suites: dict) -> dict:
     return results
 
 
-def train_and_evaluate(config: TrainConfig, corpus: Corpus, r_eval: int | None = None,
-                       eval_seed: int = 0, per_set: int = 24):
-    """Convenience wrapper: train then score the four cells."""
-    result = train(config, corpus)
-    suites = build_eval_sets(corpus, r_eval or config.r, eval_seed, per_set=per_set)
-    return result, evaluate(result.net, suites)
-
-
 # ---------------------------------------------------------------------------
 # single-pair stylization training
 # ---------------------------------------------------------------------------
@@ -297,6 +289,9 @@ def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_
                    optimize_prefix: str = "decoder.", clip_norm: float = 10.0) -> list:
     """Optimize one subnet (the decoder by default) on one style/content pair.
 
+    Parameters outside ``optimize_prefix`` are frozen for the length of the
+    call: they are neither taped nor given a gradient, and their
+    ``requires_grad`` flag is restored on return, also when the call raises.
     Returns the per-step total-loss trace.
     """
     style = Tensor(np.asarray(style_img, dtype=np.float64))
@@ -305,19 +300,27 @@ def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_
               if name.startswith(optimize_prefix)}
     if not subset:
         raise TrainingError(f"no parameters match prefix {optimize_prefix!r}")
+    frozen = [p for name, p in net.params.items()
+              if name not in subset and p.requires_grad]
     adam = AdamState(learning_rate=learning_rate)
     trace: list = []
-    for step in range(steps):
-        graph = Graph()
-        with graph:
-            generated = net.forward(style, content)
-            loss, _ = nst_objective(extractor, generated, content, style, weights)
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
-            raise TrainingError(f"non-finite stylization loss {loss_value} at step {step}")
-        graph.backward(loss)
-        clip_gradients(subset, clip_norm)
-        adam_step(subset, adam)
-        net.params.zero_grad()
-        trace.append(loss_value)
+    try:
+        for p in frozen:
+            p.requires_grad = False
+        for step in range(steps):
+            graph = Graph()
+            with graph:
+                generated = net.forward(style, content)
+                loss, _ = nst_objective(extractor, generated, content, style, weights)
+            loss_value = loss.item()
+            if not np.isfinite(loss_value):
+                raise TrainingError(f"non-finite stylization loss {loss_value} at step {step}")
+            graph.backward(loss)
+            clip_gradients(subset, clip_norm)
+            adam_step(subset, adam)
+            net.params.zero_grad()
+            trace.append(loss_value)
+    finally:
+        for p in frozen:
+            p.requires_grad = True
     return trace

@@ -138,6 +138,76 @@ class TestDeconv2d:
                         Tensor(np.zeros(1)), stride=2, output_padding=2)
 
 
+class TestConvKernels:
+    """The unrolled kernel pair and the batch folded into its GEMM."""
+
+    @pytest.mark.parametrize("shape,kh,kw,stride,padding", [
+        ((2, 3, 6, 7), 3, 3, 1, 1),
+        ((3, 2, 5, 8), 3, 2, 2, 0),
+        ((2, 2, 8, 8), 3, 3, 2, 1),  # last padded row and column in no window
+        ((1, 4, 7, 5), 1, 1, 3, 2),
+    ])
+    def test_col2im_is_the_adjoint_of_im2col(self, shape, kh, kw, stride, padding):
+        rng = np.random.default_rng(sum(shape) + kh + kw)
+        x = rng.normal(size=shape)
+        cols, _, _ = ad._im2col(x, kh, kw, stride, padding)
+        c = rng.normal(size=cols.shape)
+        lhs = float((cols * c).sum())
+        rhs = float((x * ad._col2im(c, shape, kh, kw, stride, padding)).sum())
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (3, 2)])
+    def test_conv2d_nonsquare_matches_bruteforce(self, stride, padding):
+        rng = np.random.default_rng(stride * 10 + padding)
+        x = rng.normal(size=(3, 2, 5, 8))
+        w = rng.normal(size=(4, 2, 3, 2))
+        b = rng.normal(size=4)
+        got = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        assert np.allclose(got.data, conv2d_bruteforce(x, w, b, stride, padding), atol=1e-12)
+
+    @pytest.mark.parametrize("stride,padding,opad", [(1, 0, 0), (2, 1, 1), (3, 1, 2)])
+    def test_deconv2d_nonsquare_matches_bruteforce(self, stride, padding, opad):
+        rng = np.random.default_rng(stride * 100 + padding * 10 + opad)
+        x = rng.normal(size=(3, 2, 3, 5))
+        w = rng.normal(size=(2, 4, 2, 3))
+        b = rng.normal(size=4)
+        got = ad.deconv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                          padding=padding, output_padding=opad)
+        want = deconv2d_bruteforce(x, w, b, stride, padding, opad)
+        assert np.allclose(got.data, want, atol=1e-12)
+
+    @pytest.mark.parametrize("op,kernel_shape,kwargs", [
+        (ad.conv2d, (4, 3, 3, 3), dict(stride=2, padding=1)),
+        (ad.conv2d, (4, 3, 3, 2), dict(stride=1, padding=0)),
+        (ad.deconv2d, (3, 4, 3, 3), dict(stride=2, padding=1, output_padding=1)),
+        (ad.deconv2d, (3, 4, 2, 3), dict(stride=1, padding=0)),
+    ])
+    def test_batch_equals_stacked_items(self, op, kernel_shape, kwargs):
+        """Outputs and input gradients per item, kernel gradient summed over items."""
+        rng = np.random.default_rng(len(kwargs))
+        x = rng.normal(size=(3, 3, 6, 5))
+        w = Tensor(rng.normal(size=kernel_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+
+        def run(batch):
+            xt = Tensor(batch, requires_grad=True)
+            g = Graph()
+            with g:
+                out = op(xt, w, b, **kwargs)
+                proj = np.cos(np.arange(out.size // out.shape[0])).reshape(out.shape[1:])
+                loss = (out * proj).sum()
+            g.backward(loss)
+            grads = xt.grad, w.grad
+            w.grad = b.grad = None
+            return out.data, grads
+
+        out, (gx, gw) = run(x)
+        items = [run(x[i:i + 1]) for i in range(x.shape[0])]
+        assert np.abs(out - np.concatenate([o for o, _ in items])).max() <= 1e-12
+        assert np.abs(gx - np.concatenate([g[0] for _, g in items])).max() <= 1e-12
+        assert np.abs(gw - sum(g[1] for _, g in items)).max() <= 1e-12
+
+
 class TestBatchNorm:
     def test_constant_channel_maps_to_zero(self):
         x = Tensor(np.full((2, 3, 4, 4), 7.0))

@@ -7,7 +7,7 @@ from stylemix import netpbm
 from stylemix.cli import main
 from stylemix.fontnet import FontNet
 from stylemix.nst import NstNet
-from stylemix.training import load_checkpoint
+from stylemix.training import load_checkpoint, save_checkpoint
 
 
 def run(*argv) -> int:
@@ -218,6 +218,17 @@ class TestNstCommand:
                  "--ckpt", str(font_ckpt), "--alpha", "0.5",
                  "--out", str(tmp_path / "x.ppm"))
         assert rc == 3
+
+    def test_short_meta_is_a_data_error(self, corpus_dir, nst_ckpt, tmp_path, capsys):
+        arrays = load_checkpoint(nst_ckpt)
+        arrays["meta.nst"] = np.array([3.0, 3.0, 1.0])
+        bad = tmp_path / "short_meta.ckpt"
+        save_checkpoint(bad, arrays)
+        rc = run("nst", "--style", str(corpus_dir / "style0000_content0000.pgm"),
+                 "--content", str(corpus_dir / "style0001_content0001.pgm"),
+                 "--ckpt", str(bad), "--alpha", "0.5", "--out", str(tmp_path / "x.ppm"))
+        assert rc == 3
+        assert "meta.nst" in capsys.readouterr().err
 
 
 class TestNstInitCommand:

@@ -57,6 +57,49 @@ def test_deconv2d_gradients(seed):
     check_gradients(make_loss, [x, w, b], tol=1e-4)
 
 
+# (batch, cin, h, w, cout, kh, kw, stride, padding): batches of 2-3, non-square
+# inputs and kernels, and k3 s2 p1 on even sizes, where the last padded row and
+# column fall outside every window (FontNet's encoder layers).
+CONV_CASES = [
+    (2, 2, 5, 7, 3, 3, 2, 1, 1),
+    (3, 2, 6, 4, 2, 2, 3, 2, 0),
+    (2, 2, 6, 6, 3, 3, 3, 2, 1),
+    (3, 1, 8, 6, 2, 3, 3, 2, 1),
+]
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv2d_gradients_batched_nonsquare(case):
+    bsz, cin, h, w_, cout, kh, kw, stride, padding = case
+    rng = np.random.default_rng(sum(case))
+    x = Tensor(rng.normal(size=(bsz, cin, h, w_)), requires_grad=True)
+    w = Tensor(rng.normal(size=(cout, cin, kh, kw)), requires_grad=True)
+    b = Tensor(rng.normal(size=cout), requires_grad=True)
+    proj = _proj(rng, ad.conv2d(x, w, b, stride=stride, padding=padding).shape)
+
+    def make_loss():
+        return (ad.conv2d(x, w, b, stride=stride, padding=padding) * proj).sum()
+
+    check_gradients(make_loss, [x, w, b], tol=1e-4)
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_deconv2d_gradients_batched_nonsquare(case):
+    bsz, cin, h, w_, cout, kh, kw, stride, padding = case
+    rng = np.random.default_rng(100 + sum(case))
+    opad = stride - 1
+    x = Tensor(rng.normal(size=(bsz, cin, h // stride, w_ // stride)), requires_grad=True)
+    w = Tensor(rng.normal(size=(cin, cout, kh, kw)), requires_grad=True)
+    b = Tensor(rng.normal(size=cout), requires_grad=True)
+    kwargs = dict(stride=stride, padding=padding, output_padding=opad)
+    proj = _proj(rng, ad.deconv2d(x, w, b, **kwargs).shape)
+
+    def make_loss():
+        return (ad.deconv2d(x, w, b, **kwargs) * proj).sum()
+
+    check_gradients(make_loss, [x, w, b], tol=1e-4)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batchnorm_train_gradients(seed):
     rng = np.random.default_rng(200 + seed)

@@ -325,6 +325,37 @@ class TestNstNet:
         assert max(jumps) <= 5.0 * np.median(jumps) + 1e-9
 
 
+class TestNstConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        dict(conv_plan=((3, 0, 16),)),
+        dict(conv_plan=((4, 1, 16),)),
+        dict(conv_plan=((0, 1, 16),)),
+        dict(conv_plan=((3, 1, 0),)),
+        dict(conv_plan=((3, 1),)),
+        dict(conv_plan=()),
+        dict(n_style_res=-1),
+        dict(n_content_res=-1),
+        dict(image_channels=0),
+    ])
+    def test_rejects_invalid_plan(self, kwargs):
+        with pytest.raises(ValueError):
+            NstConfig(**kwargs)
+
+    @pytest.mark.parametrize("meta", [
+        [3, 3, 1],
+        [1, 3, 1, 16, 1, 4],
+        [0, 1, 4, 3],
+        [-1],
+        [np.inf, 3, 1, 16, 1, 4, 3],
+        [1, 3, 0, 4, 1, 4, 3],
+    ])
+    def test_from_state_rejects_malformed_meta(self, meta):
+        state = NstNet.initialize(NstConfig(conv_plan=((3, 1, 4),)), seed=0).state_arrays()
+        state["meta.nst"] = np.array(meta, dtype=np.float64)
+        with pytest.raises(ValueError):
+            NstNet.from_state(state)
+
+
 class TestFeatureExtractor:
     def test_tap_count_and_shapes(self):
         extractor = FeatureExtractor(seed=0)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from stylemix import training
 from stylemix.autodiff import Tensor
 from stylemix.fontnet import FontNet, FontNetConfig
 from stylemix.glyphs import Corpus, CorpusConfig, build_eval_sets, sample_training_batch
 from stylemix.losses import weighted_l1_loss
-from stylemix.nst import FeatureExtractor, NstConfig, NstNet
+from stylemix.nst import FeatureExtractor, NstConfig, NstNet, nst_objective
 from stylemix.training import (
     AdamState,
     CheckpointError,
@@ -285,3 +286,70 @@ class TestTrainNstPair:
             train_nst_pair(net, extractor, np.zeros((1, 3, 8, 8)),
                            np.zeros((1, 3, 8, 8)), steps=1,
                            optimize_prefix="nonexistent.")
+
+    @staticmethod
+    def _pair(seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(size=(1, 3, 16, 16)), rng.uniform(size=(1, 3, 16, 16))
+
+    def test_only_the_prefix_is_taped_and_flags_are_restored(self, monkeypatch):
+        style, content = self._pair(5)
+        net = NstNet.initialize(NstConfig(), seed=0)
+        before = {name: p.data.tobytes() for name, p in net.params.items()}
+        flags_per_step = []
+        real_adam_step = training.adam_step
+
+        def spy(params, state):
+            flags_per_step.append({name: p.requires_grad for name, p in net.params.items()})
+            real_adam_step(params, state)
+
+        monkeypatch.setattr(training, "adam_step", spy)
+        train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=2)
+        assert len(flags_per_step) == 2
+        for flags in flags_per_step:
+            assert all(flag == name.startswith("decoder.") for name, flag in flags.items())
+        assert all(p.requires_grad for p in net.params.values())
+        for name, p in net.params.items():
+            if not name.startswith("decoder."):
+                assert p.data.tobytes() == before[name], name
+
+    def test_flags_are_restored_when_the_run_aborts(self, monkeypatch):
+        style, content = self._pair(6)
+        net = NstNet.initialize(NstConfig(), seed=0)
+        calls = []
+
+        def nan_on_third_step(*args, **kwargs):
+            calls.append(None)
+            loss, parts = nst_objective(*args, **kwargs)
+            return (loss * np.nan if len(calls) == 3 else loss), parts
+
+        monkeypatch.setattr(training, "nst_objective", nan_on_third_step)
+        with pytest.raises(TrainingError, match="step 2"):
+            train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=5)
+        assert all(p.requires_grad for p in net.params.values())
+
+    def test_freezing_keeps_trace_and_updates_bit_identical(self):
+        """Same trace and parameters as the loop that tapes every parameter."""
+        style, content = self._pair(7)
+        extractor = FeatureExtractor(seed=0)
+        frozen = NstNet.initialize(NstConfig(), seed=4)
+        trace = train_nst_pair(frozen, extractor, style, content, steps=3)
+
+        taped = NstNet.initialize(NstConfig(), seed=4)
+        subset = {n: p for n, p in taped.params.items() if n.startswith("decoder.")}
+        adam = AdamState(learning_rate=1e-3)
+        want = []
+        for _ in range(3):
+            graph = Graph()
+            with graph:
+                loss, _ = nst_objective(extractor, taped.forward(Tensor(style), Tensor(content)),
+                                        content, style)
+            graph.backward(loss)
+            assert taped.params["style_enc.conv0.kernel"].grad is not None
+            clip_gradients(subset, 10.0)
+            adam_step(subset, adam)
+            taped.params.zero_grad()
+            want.append(loss.item())
+        assert trace == want
+        for (name, a), b in zip(frozen.params.items(), taped.params.values()):
+            assert np.array_equal(a.data, b.data), name
