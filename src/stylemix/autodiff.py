@@ -2,8 +2,10 @@
 
 Everything computes in float64. A forward pass records onto an explicit
 :class:`Graph` (used as a context manager); :func:`backward` replays the tape
-in reverse and writes ``.grad`` buffers into every tensor that requires them.
-Without an active graph, ops run forward-only.
+in reverse and writes ``.grad`` only into leaves that require it, a leaf being
+a tensor no recorded op produced (parameters and inputs). Op outputs never get
+a ``.grad``: each intermediate gradient is dropped as soon as its op's VJP
+has consumed it. Without an active graph, ops run forward-only.
 
 Every convolution-family product is one 2-D GEMM: ``_im2col`` unrolls a
 zero-padded [B,C,H,W] input into columns [C*kh*kw, B*oh*ow], the batch folded
@@ -174,7 +176,12 @@ class Graph:
         return len(self._nodes)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(tensor) into every requires_grad tensor."""
+        """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires_grad leaf.
+
+        Leaves are the tensors no recorded op produced; op outputs get no
+        ``.grad``. Each node is dropped from the tape as soon as it has been
+        replayed, and with it its VJP closure and the gradient it consumed.
+        """
         if self._consumed:
             raise GraphError("graph already consumed by backward")
         if not isinstance(loss, Tensor) or loss.size != 1:
@@ -185,15 +192,15 @@ class Graph:
         grads: dict[int, tuple[Tensor, np.ndarray]] = {
             id(loss): (loss, np.ones_like(loss.data))
         }
-        for node in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            node = nodes.pop()
             entry = grads.pop(id(node.out), None)
             if entry is None:
                 continue  # not on the path from loss
-            g = entry[1]
-            if node.out.requires_grad:
-                node.out.grad = g if node.out.grad is None else node.out.grad + g
             needs = tuple(p.requires_grad for p in node.parents)
-            parent_grads = node.vjp(g, needs)
+            parent_grads = node.vjp(entry[1], needs)
+            del entry
             for parent, pg in zip(node.parents, parent_grads):
                 if pg is None:
                     continue
@@ -205,7 +212,6 @@ class Graph:
         for tensor, g in grads.values():  # leaves
             if tensor.requires_grad:
                 tensor.grad = g if tensor.grad is None else tensor.grad + g
-        self._nodes.clear()
 
 
 def backward(loss: Tensor, graph: Graph) -> None:

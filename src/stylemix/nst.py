@@ -420,10 +420,13 @@ class NstNet:
         return conv2d(out, k, self.params["decoder.out.bias"], stride=1,
                       padding=(k.shape[2] - 1) // 2)
 
-    def generate(self, content_img, stats: ChannelStats) -> Tensor:
+    def mix_features(self, content_img, stats: ChannelStats):
+        """Content features re-normalized to ``stats``, plus the decoder's sizes."""
         f, sizes = self.content_encode(content_img)
-        mixed = statistic_match(f, stats, self.config.stat_epsilon)
-        return self.decode(mixed, sizes)
+        return statistic_match(f, stats, self.config.stat_epsilon), sizes
+
+    def generate(self, content_img, stats: ChannelStats) -> Tensor:
+        return self.decode(*self.mix_features(content_img, stats))
 
     def forward(self, style_img, content_img) -> Tensor:
         """Stylize the content image with statistics from the style image."""
@@ -456,6 +459,19 @@ class ExtractorConfig:
     leaky_slope: float = 0.2
     image_channels: int = 3
 
+    def __post_init__(self):
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ValueError(f"extractor kernel must be odd and >= 1, got {self.kernel}")
+        if self.stride < 1:
+            raise ValueError(f"extractor stride must be >= 1, got {self.stride}")
+        if self.image_channels < 1:
+            raise ValueError(f"image_channels must be >= 1, got {self.image_channels}")
+        if not self.stage_channels or min(self.stage_channels) < 1:
+            raise ValueError(
+                f"stage_channels must hold at least one stage of >= 1 channels, "
+                f"got {self.stage_channels}"
+            )
+
 
 class FeatureExtractor:
     """Fixed (non-trainable) staged conv network providing loss-layer taps.
@@ -476,6 +492,10 @@ class FeatureExtractor:
                 kernel = rng.normal(0.0, _he_std(cin, k), size=(cout, cin, k, k))
                 bias = np.zeros(cout)
             else:
+                missing = [name for name in (f"stage{i}.kernel", f"stage{i}.bias")
+                           if name not in weights]
+                if missing:
+                    raise ValueError(f"extractor weights lack {', '.join(missing)}")
                 kernel = np.asarray(weights[f"stage{i}.kernel"], dtype=np.float64)
                 bias = np.asarray(weights[f"stage{i}.bias"], dtype=np.float64)
                 if kernel.shape != (cout, cin, k, k) or bias.shape != (cout,):
@@ -518,6 +538,12 @@ class FeatureExtractor:
         meta = arrays.get("meta.extractor")
         if meta is None:
             raise ValueError("checkpoint does not describe a feature extractor")
+        meta = np.asarray(meta, dtype=np.float64)
+        if meta.ndim != 1 or meta.size < 4 or not np.isfinite(meta).all():
+            raise ValueError(
+                f"meta.extractor must be a finite vector of kernel, stride, image "
+                f"channels and at least one stage width, got shape {meta.shape}"
+            )
         meta = [int(v) for v in meta]
         config = ExtractorConfig(kernel=meta[0], stride=meta[1],
                                  image_channels=meta[2],

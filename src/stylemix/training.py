@@ -23,6 +23,7 @@ from stylemix.nst import FeatureExtractor, LossWeights, NstNet, nst_objective
 
 CHECKPOINT_MAGIC = b"EMD1"
 CHECKPOINT_VERSION = 1
+ADAM_BLOCK = 16384  # elements per Adam block: two float64 scratch buffers of 128 KiB
 
 
 class CheckpointError(ValueError):
@@ -102,7 +103,11 @@ def load_checkpoint(path) -> dict:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers plus hyperparameters."""
+    """First/second moment buffers plus hyperparameters.
+
+    ``adam_step`` creates each moment buffer C-contiguous with its
+    parameter's shape and updates it in place.
+    """
 
     learning_rate: float = 2e-4
     beta1: float = 0.9
@@ -114,41 +119,80 @@ class AdamState:
 
 
 def adam_step(params, state: AdamState) -> None:
-    """Bias-corrected Adam update over every parameter's populated gradient."""
+    """Bias-corrected Adam update over every parameter's populated gradient.
+
+    The update streams each parameter in blocks of ``ADAM_BLOCK`` elements:
+    within a block it applies the textbook arithmetic in its usual order with
+    ``out=`` ufuncs on two block-sized scratch buffers, so it allocates no
+    parameter-sized temporary and reads ``p``, ``g``, ``m`` and ``v`` from
+    memory once. ``m`` and ``v`` are updated in place. The new values go into
+    one fresh array that ``p.data`` is then rebound to: tensors are immutable
+    after creation and ``p.data`` may be shared with a caller (``from_state``,
+    ``state_arrays()``), so it is never written in place.
+    """
     state.step_count += 1
     t = state.step_count
-    correction1 = 1.0 - state.beta1 ** t
-    correction2 = 1.0 - state.beta2 ** t
+    beta1, beta2 = state.beta1, state.beta2
+    correction1 = 1.0 - beta1 ** t
+    correction2 = 1.0 - beta2 ** t
+    largest = max((p.data.size for p in params.values()), default=0)
+    scratch_a = np.empty(min(largest, ADAM_BLOCK))
+    scratch_b = np.empty_like(scratch_a)
     for name, p in params.items():
         if p.grad is None:
             raise TrainingError(f"parameter {name!r} has no gradient for the Adam step")
-        g = p.grad
+        if p.grad.shape != p.shape:
+            raise TrainingError(
+                f"parameter {name!r} has shape {p.shape} but its gradient {p.grad.shape}"
+            )
         m = state.m.get(name)
         if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+            m = state.m[name] = np.zeros(p.shape)
+            state.v[name] = np.zeros(p.shape)
+        m, v = m.reshape(-1), state.v[name].reshape(-1)  # views of the C-contiguous moments
+        g, old = p.grad.reshape(-1), p.data.reshape(-1)
+        new = np.empty(p.shape)
+        flat = new.reshape(-1)
+        for start in range(0, flat.size, ADAM_BLOCK):
+            end = min(start + ADAM_BLOCK, flat.size)
+            a, b = scratch_a[:end - start], scratch_b[:end - start]
+            mb, vb, gb = m[start:end], v[start:end], g[start:end]
+            np.multiply(mb, beta1, out=mb)
+            np.multiply(gb, 1.0 - beta1, out=a)
+            np.add(mb, a, out=mb)
+            np.multiply(vb, beta2, out=vb)
+            np.multiply(gb, gb, out=a)
+            np.multiply(a, 1.0 - beta2, out=a)
+            np.add(vb, a, out=vb)
+            np.divide(vb, correction2, out=a)  # v_hat
+            np.sqrt(a, out=a)
+            np.add(a, state.epsilon, out=a)
+            np.divide(mb, correction1, out=b)  # m_hat
+            np.multiply(b, state.learning_rate, out=b)
+            np.divide(b, a, out=b)
+            np.subtract(old[start:end], b, out=flat[start:end])
+        p.data = new
 
 
 def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm.
+
+    Returns the norm before clipping. Clipped gradients are rebound to
+    scaled copies, never scaled in place, because backward may hand one
+    gradient array to several leaves (``add`` passes the same array to both
+    operands).
+    """
     total = 0.0
     for _, p in params.items():
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            g = p.grad.ravel()
+            total += float(np.dot(g, g))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm
         for _, p in params.items():
             if p.grad is not None:
-                p.grad *= scale
+                p.grad = p.grad * scale
     return norm
 
 
@@ -292,6 +336,13 @@ def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_
     Parameters outside ``optimize_prefix`` are frozen for the length of the
     call: they are neither taped nor given a gradient, and their
     ``requires_grad`` flag is restored on return, also when the call raises.
+
+    The encoders and the mixer see the same images every step, so when the
+    first step computes the mixed features untaped (every parameter they
+    depend on is frozen, as with the default prefix) those features, with
+    the content features and style statistics behind them, are computed
+    once per call and reused; when they are taped (say, with
+    ``optimize_prefix="style_enc."``) they are recomputed every step.
     Returns the per-step total-loss trace.
     """
     style = Tensor(np.asarray(style_img, dtype=np.float64))
@@ -307,10 +358,13 @@ def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_
     try:
         for p in frozen:
             p.requires_grad = False
+        mixed = sizes = None
         for step in range(steps):
             graph = Graph()
             with graph:
-                generated = net.forward(style, content)
+                if mixed is None or mixed.requires_grad:
+                    mixed, sizes = net.mix_features(content, net.style_encode(style))
+                generated = net.decode(mixed, sizes)
                 loss, _ = nst_objective(extractor, generated, content, style, weights)
             loss_value = loss.item()
             if not np.isfinite(loss_value):

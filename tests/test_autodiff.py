@@ -437,6 +437,21 @@ class TestBackward:
         y = x * 2.0
         assert not y.requires_grad
 
+    def test_only_leaves_receive_gradients(self):
+        x = Tensor([2.0, -1.0], requires_grad=True)
+        w = Tensor([3.0, 0.5], requires_grad=True)
+        g = Graph()
+        with g:
+            y = x * w
+            z = y + x  # second use of x: its two gradients accumulate
+            loss = z.sum()
+        g.backward(loss)
+        assert y.requires_grad and z.requires_grad
+        assert y.grad is None and z.grad is None and loss.grad is None
+        assert np.array_equal(x.grad, w.data + 1.0)
+        assert np.array_equal(w.grad, x.data)
+        assert len(g) == 0
+
     def test_grad_accumulates_across_backwards(self):
         x = Tensor([1.0], requires_grad=True)
         for _ in range(2):

@@ -393,6 +393,36 @@ class TestFeatureExtractor:
         taps = FeatureExtractor(config, seed=0).taps(np.zeros((1, 3, 8, 8)))
         assert len(taps) == 2
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(kernel=4),
+        dict(kernel=0),
+        dict(stride=0),
+        dict(image_channels=0),
+        dict(stage_channels=()),
+        dict(stage_channels=(8, 0)),
+    ])
+    def test_config_rejects_invalid_plan(self, kwargs):
+        with pytest.raises(ValueError):
+            ExtractorConfig(**kwargs)
+
+    @pytest.mark.parametrize("meta", [
+        [3, 2],
+        [3, 2, 3],
+        [3, 0, 3, 8, 16, 32, 64],
+        [3, 2, 3, np.nan, 16, 32, 64],
+    ])
+    def test_from_state_rejects_malformed_meta(self, meta):
+        state = FeatureExtractor(seed=0).state_arrays()
+        state["meta.extractor"] = np.array(meta, dtype=np.float64)
+        with pytest.raises(ValueError):
+            FeatureExtractor.from_state(state)
+
+    def test_from_state_rejects_missing_tensor(self):
+        state = FeatureExtractor(seed=0).state_arrays()
+        del state["stage3.bias"]
+        with pytest.raises(ValueError, match="stage3.bias"):
+            FeatureExtractor.from_state(state)
+
 
 class TestObjective:
     def test_parts_are_nonnegative_and_finite(self, nst_net):

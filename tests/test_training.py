@@ -1,5 +1,7 @@
 """Adam, gradient clipping, training loops, evaluation, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from stylemix.glyphs import Corpus, CorpusConfig, build_eval_sets, sample_traini
 from stylemix.losses import weighted_l1_loss
 from stylemix.nst import FeatureExtractor, NstConfig, NstNet, nst_objective
 from stylemix.training import (
+    ADAM_BLOCK,
     AdamState,
     CheckpointError,
     SuiteMetrics,
@@ -66,6 +69,92 @@ class TestAdam:
         with pytest.raises(TrainingError, match="no gradient"):
             adam_step({"p": p}, AdamState())
 
+    def test_rejects_gradient_of_another_shape(self):
+        p = Tensor(np.zeros((2, 3)), requires_grad=True)
+        p.grad = np.zeros(6)
+        with pytest.raises(TrainingError, match="shape"):
+            adam_step({"p": p}, AdamState())
+
+
+def reference_adam_step(params, state: AdamState) -> None:
+    """The unblocked Adam update, one whole-array expression per line."""
+    state.step_count += 1
+    t = state.step_count
+    correction1 = 1.0 - state.beta1 ** t
+    correction2 = 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        g = p.grad
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        m_hat = m / correction1
+        v_hat = v / correction2
+        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+
+
+def _large(rng):
+    return {"w": rng.normal(size=2 * ADAM_BLOCK + 3)}
+
+
+def _transposed(rng):
+    return {"w": rng.normal(size=(300, 130)).T}
+
+
+def _many_small(rng):
+    return {f"p{i}": rng.normal(size=(i % 4 + 1, i + 1)) for i in range(40)}
+
+
+class TestBlockedAdam:
+    @pytest.mark.parametrize("make", [_large, _transposed, _many_small])
+    def test_bit_identical_to_reference(self, make):
+        rng = np.random.default_rng(11)
+        initial = make(rng)
+        blocked = {n: Tensor(a, requires_grad=True) for n, a in initial.items()}
+        reference = {n: Tensor(a, requires_grad=True) for n, a in initial.items()}
+        state, want = AdamState(learning_rate=1e-2), AdamState(learning_rate=1e-2)
+        for _ in range(5):
+            for name, a in initial.items():
+                grad = rng.normal(size=a.shape)
+                if not a.flags.c_contiguous:  # a transposed gradient too
+                    grad = rng.normal(size=a.T.shape).T
+                blocked[name].grad = grad
+                reference[name].grad = grad.copy()
+            adam_step(blocked, state)
+            reference_adam_step(reference, want)
+            for name in initial:
+                assert np.array_equal(blocked[name].data, reference[name].data), name
+                assert np.array_equal(state.m[name], want.m[name]), name
+                assert np.array_equal(state.v[name], want.v[name]), name
+        assert state.step_count == want.step_count == 5
+
+    def test_parameter_arrays_are_rebound_not_written(self):
+        shared = np.arange(5.0)
+        p = Tensor(shared, requires_grad=True)
+        p.grad = np.ones(5)
+        adam_step({"p": p}, AdamState(learning_rate=0.1))
+        assert np.array_equal(shared, np.arange(5.0))
+        assert not np.shares_memory(p.data, shared)
+
+    def test_peak_memory_is_about_one_parameter(self):
+        p = Tensor(np.random.default_rng(12).normal(size=1_000_000), requires_grad=True)
+        p.grad = np.ones(p.shape)
+        state = AdamState()
+        adam_step({"p": p}, state)  # allocates the moments
+        p.grad = np.full(p.shape, 0.5)
+        tracemalloc.start()
+        try:
+            adam_step({"p": p}, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * p.data.nbytes
+
 
 class TestClipGradients:
     def test_large_gradients_scaled_to_max_norm(self):
@@ -80,6 +169,18 @@ class TestClipGradients:
         p.grad = np.array([0.1, 0.2, 0.2])
         clip_gradients({"p": p}, max_norm=5.0)
         assert np.array_equal(p.grad, [0.1, 0.2, 0.2])
+
+    def test_gradient_shared_by_two_leaves_is_scaled_once(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        q = Tensor(np.ones(3), requires_grad=True)
+        graph = Graph()
+        with graph:
+            loss = ((p + q) * Tensor(np.full(3, 10.0))).sum()
+        graph.backward(loss)
+        assert p.grad is q.grad  # add hands one array to both operands
+        norm = clip_gradients({"p": p, "q": q}, max_norm=1.0)
+        assert norm == pytest.approx(np.sqrt(600.0))
+        assert np.sqrt(np.sum(p.grad ** 2) + np.sum(q.grad ** 2)) == pytest.approx(1.0)
 
 
 class TestCheckpointFormat:
@@ -327,6 +428,27 @@ class TestTrainNstPair:
         with pytest.raises(TrainingError, match="step 2"):
             train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=5)
         assert all(p.requires_grad for p in net.params.values())
+
+    @pytest.mark.parametrize("prefix, calls", [("decoder.", 1), ("style_enc.", 3)])
+    def test_frozen_encoders_run_once_per_call(self, monkeypatch, prefix, calls):
+        style, content = self._pair(8)
+        net = NstNet.initialize(NstConfig(), seed=0)
+        counts = {"style_encode": 0, "content_encode": 0}
+
+        def counting(method):
+            real = getattr(NstNet, method)
+
+            def counted(self, *args, **kwargs):
+                counts[method] += 1
+                return real(self, *args, **kwargs)
+
+            return counted
+
+        for method in counts:
+            monkeypatch.setattr(NstNet, method, counting(method))
+        train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=3,
+                       optimize_prefix=prefix)
+        assert counts == {"style_encode": calls, "content_encode": calls}
 
     def test_freezing_keeps_trace_and_updates_bit_identical(self):
         """Same trace and parameters as the loop that tapes every parameter."""
