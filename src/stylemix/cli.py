@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="interpolate between --style and this second style")
     nstp.add_argument("--out", required=True, help="output PPM path")
 
-    ninit = sub.add_parser("nst-init", help="write a fresh stylization checkpoint")
+    ninit = sub.add_parser("nst-init", help="write an untrained stylization checkpoint "
+                           "(the CLI trains none; training.train_nst_pair does)")
     ninit.add_argument("--out", required=True)
     ninit.add_argument("--seed", type=int, default=0)
     return parser

@@ -12,7 +12,9 @@ to one channel through a sigmoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,6 +123,69 @@ class NetworkParams:
             tensor.grad = None
 
 
+def config_record(config) -> np.ndarray:
+    """A config dataclass as the UTF-8 bytes of its JSON, one value per byte.
+
+    Bytes are exact in a float32 checkpoint; float fields (1e-5, say) are not."""
+    text = json.dumps(dataclasses.asdict(config), sort_keys=True)
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float64)
+
+
+def _same_kind(value, default) -> bool:
+    """Whether a decoded JSON value has the type of a field's default."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_same_kind(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def read_config(config_type, arrays: dict, key: str):
+    """The ``config_type`` recorded under ``key``; a bad record raises ValueError naming it."""
+    if key not in arrays:
+        raise ValueError(f"checkpoint does not describe a {config_type.__name__} (no {key})")
+    record = np.asarray(arrays[key], dtype=np.float64)
+    # finiteness first: inf % 1 is an invalid operation
+    if (record.ndim != 1 or not np.isfinite(record).all() or (record % 1 != 0).any()
+            or (record < 0).any() or (record > 255).any()):
+        raise ValueError(f"{key} must be a vector of byte values 0-255, got shape {record.shape}")
+    try:
+        fields = json.loads(record.astype(np.uint8).tobytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+        raise ValueError(f"{key} is not a UTF-8 JSON config record: {exc}") from None
+    defaults = {f.name: f.default for f in dataclasses.fields(config_type)}
+    if not isinstance(fields, dict) or set(fields) != set(defaults):
+        raise ValueError(f"{key} must hold a JSON object of exactly the fields {sorted(defaults)}")
+    wrong = [name for name, value in fields.items() if not _same_kind(value, defaults[name])]
+    if wrong:
+        raise ValueError(f"{key} holds wrong-typed {config_type.__name__} fields {sorted(wrong)}")
+    try:
+        return config_type(**{name: _tuples(value) for name, value in fields.items()})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key} holds an invalid {config_type.__name__}: {exc}") from None
+
+
+def check_state(expected: dict, arrays: dict, key: str) -> None:
+    """Require exactly the tensors of ``expected``, shaped alike except the record ``key``."""
+    if set(expected) != set(arrays):
+        missing = sorted(set(expected) - set(arrays))
+        extra = sorted(set(arrays) - set(expected))
+        raise ValueError(
+            f"checkpoint tensors do not match the architecture in {key} "
+            f"(missing {missing[:4]}, unexpected {extra[:4]})"
+        )
+    for name, array in expected.items():
+        if name != key and np.shape(arrays[name]) != np.shape(array):
+            raise ValueError(
+                f"checkpoint tensor {name!r} has shape {np.shape(arrays[name])}, "
+                f"expected {np.shape(array)}"
+            )
+
+
 def _concat_refs(images) -> np.ndarray:
     """Stack r [H, W] reference images into a [1, r, H, W] encoder input."""
     return np.stack([np.asarray(im, dtype=np.float64) for im in images])[None]
@@ -185,43 +250,20 @@ class FontNet:
     # -- checkpoint state ----------------------------------------------------
 
     def state_arrays(self) -> dict:
-        """Named arrays covering parameters, BN buffers, and config meta."""
+        """Named arrays covering parameters, BN buffers, and the config record."""
         state = {name: t.data for name, t in self.params.items()}
         for name, stats in self.buffers.items():
             state[f"{name}.run_mean"] = np.asarray(stats.mean)
             state[f"{name}.run_std"] = np.asarray(stats.std)
-        cfg = self.config
-        state["meta.font"] = np.array(
-            [cfg.image_size, cfg.base_channels, cfg.ref_count], dtype=np.float64
-        )
+        state["meta.font"] = config_record(self.config)
         return state
 
     @classmethod
     def from_state(cls, arrays: dict) -> "FontNet":
-        meta = arrays.get("meta.font")
-        if meta is None or meta.size != 3:
-            raise ValueError("checkpoint does not describe a typeface model (no meta.font)")
-        config = FontNetConfig(
-            image_size=int(meta[0]), base_channels=int(meta[1]), ref_count=int(meta[2])
-        )
-        net = cls.initialize(config, seed=0)
-        expected = set(net.state_arrays())
-        provided = set(arrays)
-        if expected != provided:
-            missing = sorted(expected - provided)
-            extra = sorted(provided - expected)
-            raise ValueError(
-                f"checkpoint tensors do not match the architecture "
-                f"(missing {missing[:4]}, unexpected {extra[:4]})"
-            )
+        net = cls.initialize(read_config(FontNetConfig, arrays, "meta.font"), seed=0)
+        check_state(net.state_arrays(), arrays, "meta.font")
         for name, tensor in net.params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != tensor.shape:
-                raise ValueError(
-                    f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                    f"expected {tensor.shape}"
-                )
-            tensor.data = arr
+            tensor.data = np.asarray(arrays[name], dtype=np.float64)
         for name, stats in net.buffers.items():
             stats.mean = np.asarray(arrays[f"{name}.run_mean"], dtype=np.float64)
             stats.std = np.asarray(arrays[f"{name}.run_std"], dtype=np.float64)

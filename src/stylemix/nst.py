@@ -8,8 +8,8 @@ compare feature maps and their statistics through a fixed feature extractor.
 
 The loss extractor here is a seeded, randomly initialized four-stage
 convolutional network (taps after every stage, content tap at the last); a
-pretrained extractor in the project checkpoint format can be loaded in its
-place.
+pretrained extractor in the project checkpoint format loads in its place
+through ``FeatureExtractor.from_state``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from stylemix.autodiff import (
     sqrt,
     upsample_nearest,
 )
-from stylemix.fontnet import NetworkParams
+from stylemix.fontnet import NetworkParams, check_state, config_record, read_config
 
 STAT_EPSILON = 1e-8
 
@@ -304,45 +304,15 @@ class NstNet:
 
     def state_arrays(self) -> dict:
         state = {name: t.data for name, t in self.params.items()}
-        cfg = self.config
-        meta = [len(cfg.conv_plan)]
-        for k, s, c in cfg.conv_plan:
-            meta.extend([k, s, c])
-        meta.extend([cfg.n_style_res, cfg.n_content_res, cfg.image_channels])
-        state["meta.nst"] = np.array(meta, dtype=np.float64)
+        state["meta.nst"] = config_record(self.config)
         return state
 
     @classmethod
     def from_state(cls, arrays: dict) -> "NstNet":
-        meta = arrays.get("meta.nst")
-        if meta is None:
-            raise ValueError("checkpoint does not describe a style transfer model (no meta.nst)")
-        meta = np.asarray(meta, dtype=np.float64)
-        if meta.ndim != 1 or meta.size < 1 or not np.isfinite(meta).all():
-            raise ValueError(f"meta.nst must be a finite vector, got shape {meta.shape}")
-        meta = [int(v) for v in meta]
-        n_blocks = meta[0]
-        if n_blocks < 1 or len(meta) != 4 + 3 * n_blocks:
-            raise ValueError(
-                f"meta.nst declares {n_blocks} conv blocks and holds {len(meta)} "
-                f"values; it needs at least 1 block and 4 + 3 values per block"
-            )
-        plan = tuple(tuple(meta[1 + 3 * i: 4 + 3 * i]) for i in range(n_blocks))
-        config = NstConfig(conv_plan=plan, n_style_res=meta[1 + 3 * n_blocks],
-                           n_content_res=meta[2 + 3 * n_blocks],
-                           image_channels=meta[3 + 3 * n_blocks])
-        net = cls.initialize(config, seed=0)
-        expected = set(net.state_arrays())
-        if expected != set(arrays):
-            raise ValueError("checkpoint tensors do not match the NST architecture")
+        net = cls.initialize(read_config(NstConfig, arrays, "meta.nst"), seed=0)
+        check_state(net.state_arrays(), arrays, "meta.nst")
         for name, tensor in net.params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != tensor.shape:
-                raise ValueError(
-                    f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                    f"expected {tensor.shape}"
-                )
-            tensor.data = arr
+            tensor.data = np.asarray(arrays[name], dtype=np.float64)
         return net
 
     # -- forward -------------------------------------------------------------
@@ -480,31 +450,16 @@ class FeatureExtractor:
     Weights are seeded at construction or loaded from a checkpoint.
     """
 
-    def __init__(self, config: ExtractorConfig = ExtractorConfig(), seed: int = 0,
-                 weights: dict | None = None):
+    def __init__(self, config: ExtractorConfig = ExtractorConfig(), seed: int = 0):
         self.config = config
         rng = np.random.default_rng([813, seed])
         self.weights: dict = {}
         cin = config.image_channels
+        k = config.kernel
         for i, cout in enumerate(config.stage_channels):
-            k = config.kernel
-            if weights is None:
-                kernel = rng.normal(0.0, _he_std(cin, k), size=(cout, cin, k, k))
-                bias = np.zeros(cout)
-            else:
-                missing = [name for name in (f"stage{i}.kernel", f"stage{i}.bias")
-                           if name not in weights]
-                if missing:
-                    raise ValueError(f"extractor weights lack {', '.join(missing)}")
-                kernel = np.asarray(weights[f"stage{i}.kernel"], dtype=np.float64)
-                bias = np.asarray(weights[f"stage{i}.bias"], dtype=np.float64)
-                if kernel.shape != (cout, cin, k, k) or bias.shape != (cout,):
-                    raise ValueError(
-                        f"extractor stage {i} weight shapes {kernel.shape}/{bias.shape} "
-                        f"do not match the configuration"
-                    )
-            self.weights[f"stage{i}.kernel"] = Tensor(kernel)
-            self.weights[f"stage{i}.bias"] = Tensor(bias)
+            self.weights[f"stage{i}.kernel"] = Tensor(
+                rng.normal(0.0, _he_std(cin, k), size=(cout, cin, k, k)))
+            self.weights[f"stage{i}.bias"] = Tensor(np.zeros(cout))
             cin = cout
 
     @property
@@ -526,30 +481,16 @@ class FeatureExtractor:
 
     def state_arrays(self) -> dict:
         state = {name: t.data for name, t in self.weights.items()}
-        cfg = self.config
-        state["meta.extractor"] = np.array(
-            [cfg.kernel, cfg.stride, cfg.image_channels, *cfg.stage_channels],
-            dtype=np.float64,
-        )
+        state["meta.extractor"] = config_record(self.config)
         return state
 
     @classmethod
     def from_state(cls, arrays: dict) -> "FeatureExtractor":
-        meta = arrays.get("meta.extractor")
-        if meta is None:
-            raise ValueError("checkpoint does not describe a feature extractor")
-        meta = np.asarray(meta, dtype=np.float64)
-        if meta.ndim != 1 or meta.size < 4 or not np.isfinite(meta).all():
-            raise ValueError(
-                f"meta.extractor must be a finite vector of kernel, stride, image "
-                f"channels and at least one stage width, got shape {meta.shape}"
-            )
-        meta = [int(v) for v in meta]
-        config = ExtractorConfig(kernel=meta[0], stride=meta[1],
-                                 image_channels=meta[2],
-                                 stage_channels=tuple(meta[3:]))
-        weights = {name: arr for name, arr in arrays.items() if name != "meta.extractor"}
-        return cls(config, weights=weights)
+        extractor = cls(read_config(ExtractorConfig, arrays, "meta.extractor"))
+        check_state(extractor.state_arrays(), arrays, "meta.extractor")
+        for name in extractor.weights:
+            extractor.weights[name] = Tensor(np.asarray(arrays[name], dtype=np.float64))
+        return extractor
 
 
 def nst_objective(extractor: FeatureExtractor, generated: Tensor, content_img,

@@ -3,11 +3,13 @@
 Training iterates batch sampling -> forward generation -> weighted L1 ->
 backward -> gradient clipping -> Adam. With a fixed seed and single-threaded
 execution every run is bit-reproducible. Checkpoints serialize named tensors
-in 32-bit; resuming from the same file is bit-reproducible across loads.
+in 32-bit, the model's whole config among them as a byte record; resuming
+from the same file is bit-reproducible across loads.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -40,7 +42,7 @@ class TrainingError(RuntimeError):
 
 
 def save_checkpoint(path, arrays: dict) -> None:
-    """Write named float arrays as 32-bit little-endian tensors."""
+    """Atomically write named float arrays as 32-bit little-endian tensors."""
     path = Path(path)
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
@@ -55,7 +57,13 @@ def save_checkpoint(path, arrays: dict) -> None:
         for extent in array.shape:
             blob += struct.pack("<I", extent)
         blob += array.astype("<f4").tobytes()
-    path.write_bytes(bytes(blob))
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_bytes(bytes(blob))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> dict:

@@ -1,5 +1,7 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,23 @@ class TestGenerateCommand:
                  "--out", str(tmp_path / "x.pgm"))
         assert rc == 3
         assert "32x32" in capsys.readouterr().err
+
+    def test_wrong_typed_config_field_is_a_data_error(self, corpus_dir, font_ckpt,
+                                                      tmp_path, capsys):
+        arrays = load_checkpoint(font_ckpt)
+        fields = json.loads(arrays["meta.font"].astype(np.uint8).tobytes())
+        fields["image_size"] = "64"
+        arrays["meta.font"] = np.frombuffer(json.dumps(fields).encode("utf-8"),
+                                            dtype=np.uint8).astype(np.float64)
+        bad = tmp_path / "typed.ckpt"
+        save_checkpoint(bad, arrays)
+        rc = run("generate", "--ckpt", str(bad),
+                 "--style-refs", *_ref_paths(corpus_dir, 0, (1, 2)),
+                 "--content-refs", *_content_ref_paths(corpus_dir, 3, (4, 5)),
+                 "--out", str(tmp_path / "x.pgm"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "meta.font" in err and "Traceback" not in err
 
 
 class TestEvalCommand:

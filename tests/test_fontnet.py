@@ -1,10 +1,23 @@
 """Typeface network: shape propagation, skip handling, determinism."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from stylemix.autodiff import ShapeError, Tensor
 from stylemix.fontnet import FontNet, FontNetConfig, NetworkParams
+from stylemix.training import load_checkpoint, save_checkpoint
+
+CUSTOM_FONT = FontNetConfig(image_size=16, base_channels=2, ref_count=2, bn_momentum=0.3,
+                            bn_epsilon=1e-3, leaky_slope=0.1, init_std=0.05)
+FONT_FIELDS = dataclasses.asdict(FontNetConfig())
+
+
+def _record(fields) -> np.ndarray:
+    """A config record holding arbitrary JSON."""
+    return np.frombuffer(json.dumps(fields).encode("utf-8"), dtype=np.uint8).astype(np.float64)
 
 
 class TestConfig:
@@ -183,3 +196,47 @@ class TestStateRoundTrip:
     def test_rejects_non_font_checkpoint(self):
         with pytest.raises(ValueError, match="meta.font"):
             FontNet.from_state({"weights": np.zeros(3)})
+
+    @pytest.mark.parametrize("through_file", [False, True])
+    def test_whole_config_round_trips(self, tmp_path, through_file):
+        net = FontNet.initialize(CUSTOM_FONT, seed=4)
+        state = net.state_arrays()
+        if through_file:  # the float32 file path
+            save_checkpoint(tmp_path / "font.ckpt", state)
+            state = load_checkpoint(tmp_path / "font.ckpt")
+        rebuilt = FontNet.from_state(state)
+        assert rebuilt.config == CUSTOM_FONT
+        rng = np.random.default_rng(19)
+        sx, cx = _refs(rng), _refs(rng)
+        want = net.forward_generate(sx, cx).data
+        assert np.abs(rebuilt.forward_generate(sx, cx).data - want).max() <= 1e-6
+
+    def test_rejects_wrong_shaped_buffer(self, micro_net):
+        state = micro_net.state_arrays()
+        state["style_enc.0.run_mean"] = np.zeros(7)
+        with pytest.raises(ValueError, match="style_enc.0.run_mean"):
+            FontNet.from_state(state)
+
+    @pytest.mark.parametrize("record", [
+        pytest.param(np.array([300.0]), id="above-255"),
+        pytest.param(np.array([-1.0]), id="negative"),
+        pytest.param(np.array([123.5]), id="fractional"),
+        pytest.param(np.array([np.inf]), id="inf"),
+        pytest.param(np.array([np.nan]), id="nan"),
+        pytest.param(np.full((2, 2), 123.0), id="not-1d"),
+        pytest.param(np.array([0xFF, 0xFE, 0x7B]), id="invalid-utf8"),
+        pytest.param(_record(FONT_FIELDS)[:-1], id="invalid-json"),
+        pytest.param(_record(list(FONT_FIELDS.values())), id="json-list"),
+        pytest.param(_record({k: v for k, v in FONT_FIELDS.items() if k != "bn_epsilon"}),
+                     id="missing-field"),
+        pytest.param(_record({**FONT_FIELDS, "dropout": 0.5}), id="unknown-field"),
+        pytest.param(_record({**FONT_FIELDS, "image_size": "64"}), id="string-int"),
+        pytest.param(_record({**FONT_FIELDS, "base_channels": 2.5}), id="float-int"),
+        pytest.param(_record({**FONT_FIELDS, "ref_count": True}), id="bool-int"),
+        pytest.param(_record({**FONT_FIELDS, "image_size": 24}), id="invalid-config"),
+    ])
+    def test_rejects_malformed_record(self, micro_net, record):
+        state = micro_net.state_arrays()
+        state["meta.font"] = record
+        with pytest.raises(ValueError, match="meta.font"):
+            FontNet.from_state(state)

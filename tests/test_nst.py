@@ -1,5 +1,8 @@
 """Channel statistics, statistic matching, stylization losses and networks."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -22,8 +25,21 @@ from stylemix.nst import (
     tradeoff_mix,
     tv_loss,
 )
+from stylemix.training import load_checkpoint, save_checkpoint
 
 EPS = 1e-8
+CUSTOM_NST = NstConfig(conv_plan=((5, 1, 4), (3, 2, 6)), n_style_res=0, n_content_res=2,
+                       leaky_slope=0.1, image_channels=1, stat_epsilon=1e-6)
+CUSTOM_EXTRACTOR = ExtractorConfig(stage_channels=(4, 6), kernel=5, stride=1,
+                                   leaky_slope=0.05, image_channels=1)
+
+
+def _through_file(state, tmp_path, through_file: bool) -> dict:
+    """``state`` itself, or as read back from a saved float32 checkpoint."""
+    if not through_file:
+        return state
+    save_checkpoint(tmp_path / "state.ckpt", state)
+    return load_checkpoint(tmp_path / "state.ckpt")
 
 
 class TestChannelStats:
@@ -314,6 +330,12 @@ class TestNstNet:
         rebuilt = NstNet.from_state(nst_net.state_arrays())
         assert np.array_equal(rebuilt.forward(style, content).data, want.data)
 
+    @pytest.mark.parametrize("through_file", [False, True])
+    def test_whole_config_round_trips(self, tmp_path, through_file):
+        state = NstNet.initialize(CUSTOM_NST, seed=2).state_arrays()
+        rebuilt = NstNet.from_state(_through_file(state, tmp_path, through_file))
+        assert rebuilt.config == CUSTOM_NST
+
     def test_tradeoff_alpha_sweep_is_continuous(self, nst_net):
         rng = np.random.default_rng(14)
         style = Tensor(rng.uniform(size=(1, 3, 24, 24)))
@@ -355,6 +377,22 @@ class TestNstConfigValidation:
         with pytest.raises(ValueError):
             NstNet.from_state(state)
 
+    @pytest.mark.parametrize("change", [
+        dict(conv_plan=[[3, 1, 4.5]]),
+        dict(conv_plan=[3, 1, 4]),
+        dict(conv_plan=[[3, 1]]),
+        dict(n_style_res=1.0),
+        dict(stat_epsilon="1e-8"),
+    ])
+    def test_from_state_rejects_wrong_typed_record(self, change):
+        net = NstNet.initialize(NstConfig(conv_plan=((3, 1, 4),)), seed=0)
+        state = net.state_arrays()
+        fields = {**dataclasses.asdict(net.config), **change}
+        state["meta.nst"] = np.frombuffer(json.dumps(fields).encode("utf-8"),
+                                          dtype=np.uint8).astype(np.float64)
+        with pytest.raises(ValueError, match="meta.nst"):
+            NstNet.from_state(state)
+
 
 class TestFeatureExtractor:
     def test_tap_count_and_shapes(self):
@@ -387,6 +425,18 @@ class TestFeatureExtractor:
         got = loaded.taps(image)[-1]
         assert np.array_equal(want.data, got.data)
         assert loaded.config == extractor.config
+
+    @pytest.mark.parametrize("through_file", [False, True])
+    def test_whole_config_round_trips(self, tmp_path, through_file):
+        state = FeatureExtractor(CUSTOM_EXTRACTOR, seed=2).state_arrays()
+        loaded = FeatureExtractor.from_state(_through_file(state, tmp_path, through_file))
+        assert loaded.config == CUSTOM_EXTRACTOR
+
+    def test_from_state_rejects_unexpected_tensor(self):
+        state = FeatureExtractor(seed=0).state_arrays()
+        state["bogus"] = np.zeros(3)
+        with pytest.raises(ValueError, match="bogus"):
+            FeatureExtractor.from_state(state)
 
     def test_custom_stage_plan(self):
         config = ExtractorConfig(stage_channels=(4, 8))

@@ -1,5 +1,6 @@
 """Adam, gradient clipping, training loops, evaluation, checkpoints."""
 
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -196,6 +197,23 @@ class TestCheckpointFormat:
         save_checkpoint(first, arrays)
         save_checkpoint(second, load_checkpoint(first))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"w": np.arange(4.0)})
+        before = path.read_bytes()
+        real_write = pathlib.Path.write_bytes
+
+        def torn_write(self, data):
+            real_write(self, data[:len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"w": np.arange(100.0)})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_tensor_count_matches(self, tmp_path):
         net = FontNet.initialize(FontNetConfig(image_size=16, base_channels=2, ref_count=2))
