@@ -7,12 +7,15 @@ a tensor no recorded op produced (parameters and inputs). Op outputs never get
 a ``.grad``: each intermediate gradient is dropped as soon as its op's VJP
 has consumed it. Without an active graph, ops run forward-only.
 
-Every convolution-family product is one 2-D GEMM: ``_im2col`` unrolls a
-zero-padded [B,C,H,W] input into columns [C*kh*kw, B*oh*ow], the batch folded
-into the columns, and ``_col2im`` is its exact adjoint, summing such columns
-back into [B,C,H,W]. conv2d forward, deconv2d's input gradient and both kernel
-gradients are im2col then GEMM; conv2d's input gradient and deconv2d forward
-are GEMM then col2im.
+Every convolution-family product is a GEMM against unrolled columns:
+``_im2col`` unrolls a zero-padded [B,C,H,W] input into columns
+[C*kh*kw, B*oh*ow], the batch folded into the columns, and ``_col2im`` is its
+exact adjoint, summing such columns back into [B,C,H,W]. deconv2d's input
+gradient and both kernel gradients are im2col then one 2-D GEMM; conv2d's
+input gradient and deconv2d forward are one GEMM then col2im. conv2d forward
+never holds the whole column matrix: ``_im2col_matmul`` unrolls it one block
+of at most ``IM2COL_BLOCK`` elements at a time into one scratch buffer and
+writes each block's output columns with its own GEMM.
 
 Tensors are treated as immutable after creation except for their ``grad``
 buffer. A graph must stay confined to one thread; independent graphs over
@@ -21,6 +24,7 @@ disjoint parameters may run concurrently.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -415,8 +419,11 @@ def concat_channels(a, b) -> Tensor:
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
+    """max(a, slope * a) for a slope in [0, 1]; with slope 0, +inf maps to NaN."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
     a = as_tensor(a)
-    out = Tensor(np.where(a.data >= 0, a.data, slope * a.data))
+    out = Tensor(np.maximum(a.data, slope * a.data))
 
     def vjp(g, needs):
         return (g * np.where(a.data >= 0, 1.0, slope),)
@@ -449,8 +456,12 @@ def sigmoid(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple:
-    """Unroll [B,C,H,W], zero-padded on each side, into columns [C*kh*kw, B*oh*ow]."""
+# float64 elements of conv2d's forward im2col scratch (1 MiB)
+IM2COL_BLOCK = 1 << 17
+
+
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple:
+    """Read-only view [C,kh,kw,B,oh,ow] of the windows of [B,C,H,W], zero-padded."""
     b, c, h, w = x.shape
     if padding:
         xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
@@ -462,7 +473,44 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple
     windows = np.lib.stride_tricks.as_strided(
         x, shape=(c, kh, kw, b, oh, ow),
         strides=(sc, sh, sw, sb, stride * sh, stride * sw), writeable=False)
+    return windows, oh, ow
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple:
+    """Unroll [B,C,H,W], zero-padded on each side, into columns [C*kh*kw, B*oh*ow]."""
+    windows, oh, ow = _windows(x, kh, kw, stride, padding)
+    b, c = x.shape[:2]
     return windows.reshape(c * kh * kw, b * oh * ow), oh, ow
+
+
+def _im2col_matmul(left: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
+                   padding: int) -> tuple:
+    """``left @ _im2col(x)[0]`` without the whole column matrix.
+
+    The columns are unrolled a block at a time into one scratch buffer of at
+    most IM2COL_BLOCK elements: whole batch items while one item fits (so each
+    GEMM is as wide as it can be), else whole output rows of one item, at
+    least one row. One GEMM per block writes its slice of the output.
+    """
+    windows, oh, ow = _windows(x, kh, kw, stride, padding)
+    b = x.shape[0]
+    k = x.shape[1] * kh * kw
+    items = IM2COL_BLOCK // max(k * oh * ow, 1)
+    if items:
+        blocks = [windows[:, :, :, i:i + items] for i in range(0, b, items)]
+    else:
+        rows = max(IM2COL_BLOCK // (k * ow), 1)
+        blocks = [windows[:, :, :, i, r:r + rows] for i in range(b) for r in range(0, oh, rows)]
+    out = np.empty((left.shape[0], b * oh * ow))
+    scratch = np.empty(max((block.size for block in blocks), default=0))
+    start = 0
+    for block in blocks:
+        cols = scratch[:block.size].reshape(block.shape)
+        cols[...] = block
+        n = math.prod(block.shape[3:])
+        np.matmul(left, cols.reshape(k, n), out=out[:, start:start + n])
+        start += n
+    return out, oh, ow
 
 
 def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, stride: int,
@@ -512,9 +560,10 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(
             f"conv2d: padded input {x.shape} smaller than kernel {w.shape[2:]}"
         )
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
     wmat = w.data.reshape(w.shape[0], -1)
-    out = Tensor(_unrows(wmat @ cols + b.data[:, None], x.shape[0], oh, ow))
+    y, oh, ow = _im2col_matmul(wmat, x.data, kh, kw, stride, padding)
+    y += b.data[:, None]
+    out = Tensor(_unrows(y, x.shape[0], oh, ow))
 
     def vjp(g, needs):
         gx = gw = gb = None
@@ -522,6 +571,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         if needs[0]:
             gx = _col2im(wmat.T @ grows, x.shape, kh, kw, stride, padding)
         if needs[1]:
+            cols, _, _ = _im2col(x.data, kh, kw, stride, padding)
             gw = (grows @ cols.T).reshape(w.shape)
         if needs[2]:
             gb = grows.sum(axis=1)

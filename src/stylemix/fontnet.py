@@ -63,6 +63,8 @@ class FontNetConfig:
             raise ValueError(f"ref_count must be >= 1, got {self.ref_count}")
         if self.base_channels < 1:
             raise ValueError(f"base_channels must be >= 1, got {self.base_channels}")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
 
     @property
     def spatial_sizes(self) -> tuple:
@@ -204,12 +206,17 @@ class FontNet:
     @classmethod
     def initialize(cls, config: FontNetConfig, seed: int = 0) -> "FontNet":
         rng = np.random.default_rng([809, seed])
+        return cls._build(config, lambda shape, std: rng.normal(0.0, std, size=shape))
+
+    @classmethod
+    def _build(cls, config: FontNetConfig, draw) -> "FontNet":
+        """The net with each random weight taken from ``draw(shape, std)``."""
+        std = config.init_std
         params = NetworkParams()
         buffers: dict = {}
 
         def conv_block(prefix, i, cin, cout, k, with_bn=True):
-            params.add(f"{prefix}.{i}.kernel",
-                       rng.normal(0.0, config.init_std, size=(cout, cin, k, k)))
+            params.add(f"{prefix}.{i}.kernel", draw((cout, cin, k, k), std))
             params.add(f"{prefix}.{i}.bias", np.zeros(cout))
             if with_bn:
                 params.add(f"{prefix}.{i}.gamma", np.ones(cout))
@@ -225,7 +232,7 @@ class FontNet:
                 cin = cout
 
         code = config.code_dim
-        params.add("mixer.tensor", rng.normal(0.0, config.init_std, size=(code, code, code)))
+        params.add("mixer.tensor", draw((code, code, code), std))
 
         dec = config.decoder_channels
         cin = code
@@ -233,8 +240,7 @@ class FontNet:
             if j >= 1:
                 cin += enc[config.depth - 1 - j]  # skip concat widens the input
             # deconv kernels are laid out (Cin, Cout, k, k)
-            params.add(f"decoder.{j}.kernel",
-                       rng.normal(0.0, config.init_std, size=(cin, cout, 3, 3)))
+            params.add(f"decoder.{j}.kernel", draw((cin, cout, 3, 3), std))
             params.add(f"decoder.{j}.bias", np.zeros(cout))
             params.add(f"decoder.{j}.gamma", np.ones(cout))
             params.add(f"decoder.{j}.beta", np.zeros(cout))
@@ -242,8 +248,7 @@ class FontNet:
             cin = cout
         last = config.depth - 1
         cin = (dec[-1] if dec else code) + enc[0]
-        params.add(f"decoder.{last}.kernel",
-                   rng.normal(0.0, config.init_std, size=(cin, 1, 5, 5)))
+        params.add(f"decoder.{last}.kernel", draw((cin, 1, 5, 5), std))
         params.add(f"decoder.{last}.bias", np.zeros(1))
         return cls(config, params, buffers)
 
@@ -260,7 +265,8 @@ class FontNet:
 
     @classmethod
     def from_state(cls, arrays: dict) -> "FontNet":
-        net = cls.initialize(read_config(FontNetConfig, arrays, "meta.font"), seed=0)
+        config = read_config(FontNetConfig, arrays, "meta.font")
+        net = cls._build(config, lambda shape, std: np.empty(shape))  # overwritten below
         check_state(net.state_arrays(), arrays, "meta.font")
         for name, tensor in net.params.items():
             tensor.data = np.asarray(arrays[name], dtype=np.float64)

@@ -232,6 +232,8 @@ class NstConfig:
             )
         if self.image_channels < 1:
             raise ValueError(f"image_channels must be >= 1, got {self.image_channels}")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
 
     @property
     def mix_channels(self) -> int:
@@ -259,11 +261,15 @@ class NstNet:
     @classmethod
     def initialize(cls, config: NstConfig, seed: int = 0) -> "NstNet":
         rng = np.random.default_rng([811, seed])
+        return cls._build(config, lambda shape, std: rng.normal(0.0, std, size=shape))
+
+    @classmethod
+    def _build(cls, config: NstConfig, draw) -> "NstNet":
+        """The net with each random weight taken from ``draw(shape, std)``."""
         params = NetworkParams()
 
         def conv(name, cin, cout, k):
-            params.add(f"{name}.kernel",
-                       rng.normal(0.0, _he_std(cin, k), size=(cout, cin, k, k)))
+            params.add(f"{name}.kernel", draw((cout, cin, k, k), _he_std(cin, k)))
             params.add(f"{name}.bias", np.zeros(cout))
 
         def res_block(name, c, k):
@@ -280,8 +286,7 @@ class NstNet:
                 res_block(f"{prefix}.res{i}", cin, config.conv_plan[-1][0])
 
         c_mix = config.mix_channels
-        fc_w = rng.normal(0.0, np.sqrt(1.0 / c_mix), size=(2 * c_mix, c_mix))
-        params.add("style_enc.fc.weight", fc_w)
+        params.add("style_enc.fc.weight", draw((2 * c_mix, c_mix), np.sqrt(1.0 / c_mix)))
         # std head starts at 1 so the initial mixing is scale-preserving
         fc_b = np.zeros(2 * c_mix)
         fc_b[c_mix:] = 1.0
@@ -309,7 +314,8 @@ class NstNet:
 
     @classmethod
     def from_state(cls, arrays: dict) -> "NstNet":
-        net = cls.initialize(read_config(NstConfig, arrays, "meta.nst"), seed=0)
+        config = read_config(NstConfig, arrays, "meta.nst")
+        net = cls._build(config, lambda shape, std: np.empty(shape))  # overwritten below
         check_state(net.state_arrays(), arrays, "meta.nst")
         for name, tensor in net.params.items():
             tensor.data = np.asarray(arrays[name], dtype=np.float64)
@@ -441,6 +447,8 @@ class ExtractorConfig:
                 f"stage_channels must hold at least one stage of >= 1 channels, "
                 f"got {self.stage_channels}"
             )
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
 
 
 class FeatureExtractor:

@@ -1,5 +1,7 @@
 """Forward semantics of the tensor engine against small hand and loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,56 @@ class TestConvKernels:
         assert np.abs(gx - np.concatenate([g[0] for _, g in items])).max() <= 1e-12
         assert np.abs(gw - sum(g[1] for _, g in items)).max() <= 1e-12
 
+    @pytest.mark.parametrize("x_shape,cout,k,stride,padding", [
+        ((4, 4, 64, 64), 16, 5, 1, 2),  # FontNet's first encoder layer, batch 4
+        ((4, 16, 64, 64), 32, 3, 2, 1),  # and its k3 s2 p1 layers, 64 -> 1
+        ((4, 32, 32, 32), 64, 3, 2, 1),
+        ((4, 64, 16, 16), 128, 3, 2, 1),
+        ((4, 128, 8, 8), 128, 3, 2, 1),
+        ((4, 128, 4, 4), 128, 3, 2, 1),
+        ((4, 128, 2, 2), 128, 3, 2, 1),
+        ((1, 3, 256, 256), 16, 3, 1, 1),  # the first 256 px NST layer
+        ((3, 5, 33, 37), 7, 3, 2, 1),
+        ((2, 3, 17, 9), 4, 5, 2, 2),
+        ((2, 8, 20, 20), 6, 1, 1, 0),
+    ])
+    def test_im2col_matmul_equals_one_gemm(self, x_shape, cout, k, stride, padding):
+        """Bit for bit at the default block, whichever way the columns are split."""
+        rng = np.random.default_rng(sum(x_shape) + cout)
+        x = rng.normal(size=x_shape)
+        wmat = rng.normal(size=(cout, x_shape[1] * k * k))
+        got, oh, ow = ad._im2col_matmul(wmat, x, k, k, stride, padding)
+        cols, want_oh, want_ow = ad._im2col(x, k, k, stride, padding)
+        assert (oh, ow) == (want_oh, want_ow)
+        assert np.array_equal(got, wmat @ cols)
+
+    @pytest.mark.parametrize("block", [
+        1200,  # two whole items per block, the last block holds one
+        350,  # one item does not fit: three whole rows per block
+        10,  # one row exceeds the block: one row per block
+    ])
+    def test_im2col_matmul_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(ad, "IM2COL_BLOCK", block)
+        rng = np.random.default_rng(block)
+        x = rng.normal(size=(5, 3, 9, 8))
+        wmat = rng.normal(size=(4, 27))
+        got, _, _ = ad._im2col_matmul(wmat, x, 3, 3, 2, 1)  # 27 * 4 = 108 per row, 5 rows
+        assert np.abs(got - wmat @ ad._im2col(x, 3, 3, 2, 1)[0]).max() <= 1e-12
+
+    def test_conv2d_forward_never_holds_the_column_matrix(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(1, 32, 256, 256)))
+        w = Tensor(rng.normal(size=(16, 32, 3, 3)))
+        b = Tensor(np.zeros(16))
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, w, b, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = 32 * 258 * 258 * 8
+        assert peak <= padded + out.data.nbytes + (2 << 20)  # the columns are 151 MB
+
 
 class TestBatchNorm:
     def test_constant_channel_maps_to_zero(self):
@@ -259,6 +311,29 @@ class TestActivations:
         rng = np.random.default_rng(3)
         x = rng.normal(size=17)
         assert np.array_equal(ad.leaky_relu(Tensor(x), slope=1.0).data, x)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.05, 0.2, 1.0])
+    def test_leaky_relu_equals_the_masked_form(self, slope):
+        """max(a, slope*a) is bitwise np.where(a >= 0, a, slope*a), signed zeros too."""
+        rng = np.random.default_rng(4)
+        x = np.concatenate([rng.normal(size=64), rng.normal(size=8) * 1e300,
+                            [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]])
+        got = ad.leaky_relu(Tensor(x), slope).data
+        want = np.where(x >= 0, x, slope * x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_leaky_relu_propagates_nan_and_relu_maps_inf_to_nan(self):
+        x = Tensor([np.nan, np.inf, -np.inf])
+        assert np.isnan(ad.leaky_relu(x, 0.2).data[0])
+        assert ad.leaky_relu(x, 0.2).data[1:].tolist() == [np.inf, -np.inf]
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            assert np.isnan(ad.relu(x).data).all()
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, np.nan])
+    def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            ad.leaky_relu(Tensor([1.0]), slope)
 
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(Tensor([0.0])).data[0] == 0.5

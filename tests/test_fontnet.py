@@ -46,6 +46,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="image_size"):
             FontNetConfig(image_size=48)
 
+    @pytest.mark.parametrize("slope", [-0.2, 1.5])
+    def test_rejects_leaky_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="leaky_slope"):
+            FontNetConfig(leaky_slope=slope)
+
     def test_mixer_tensor_is_cubic_in_code_dim(self):
         config = FontNetConfig(image_size=16, base_channels=4, ref_count=2)
         net = FontNet.initialize(config)
@@ -186,6 +191,18 @@ class TestStateRoundTrip:
         rebuilt = FontNet.from_state(micro_net.state_arrays())
         got = rebuilt.forward_generate(sx, cx)
         assert np.array_equal(want.data, got.data)
+
+    def test_from_state_draws_no_random_weights(self, monkeypatch):
+        net = FontNet.initialize(CUSTOM_FONT, seed=4)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("from_state drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        state = net.state_arrays()
+        rebuilt = FontNet.from_state(state).state_arrays()
+        assert rebuilt.keys() == state.keys()
+        assert all(np.array_equal(rebuilt[name], state[name]) for name in state)
 
     def test_rejects_mismatched_tensor_set(self, micro_net):
         state = dict(micro_net.state_arrays())

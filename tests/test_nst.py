@@ -330,6 +330,18 @@ class TestNstNet:
         rebuilt = NstNet.from_state(nst_net.state_arrays())
         assert np.array_equal(rebuilt.forward(style, content).data, want.data)
 
+    def test_from_state_draws_no_random_weights(self, monkeypatch):
+        net = NstNet.initialize(CUSTOM_NST, seed=2)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("from_state drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        state = net.state_arrays()
+        rebuilt = NstNet.from_state(state).state_arrays()
+        assert rebuilt.keys() == state.keys()
+        assert all(np.array_equal(rebuilt[name], state[name]) for name in state)
+
     @pytest.mark.parametrize("through_file", [False, True])
     def test_whole_config_round_trips(self, tmp_path, through_file):
         state = NstNet.initialize(CUSTOM_NST, seed=2).state_arrays()
@@ -362,6 +374,11 @@ class TestNstConfigValidation:
     def test_rejects_invalid_plan(self, kwargs):
         with pytest.raises(ValueError):
             NstConfig(**kwargs)
+
+    @pytest.mark.parametrize("slope", [-0.2, 1.5])
+    def test_rejects_leaky_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="leaky_slope"):
+            NstConfig(leaky_slope=slope)
 
     @pytest.mark.parametrize("meta", [
         [3, 3, 1],
@@ -454,6 +471,11 @@ class TestFeatureExtractor:
     def test_config_rejects_invalid_plan(self, kwargs):
         with pytest.raises(ValueError):
             ExtractorConfig(**kwargs)
+
+    @pytest.mark.parametrize("slope", [-0.2, 1.5])
+    def test_config_rejects_leaky_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="leaky_slope"):
+            ExtractorConfig(leaky_slope=slope)
 
     @pytest.mark.parametrize("meta", [
         [3, 2],
