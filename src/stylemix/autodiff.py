@@ -13,9 +13,11 @@ Every convolution-family product is a GEMM against unrolled columns:
 exact adjoint, summing such columns back into [B,C,H,W]. deconv2d's input
 gradient and both kernel gradients are im2col then one 2-D GEMM; conv2d's
 input gradient and deconv2d forward are one GEMM then col2im. conv2d forward
-never holds the whole column matrix: ``_im2col_matmul`` unrolls it one block
-of at most ``IM2COL_BLOCK`` elements at a time into one scratch buffer and
-writes each block's output columns with its own GEMM.
+never holds the whole column matrix or a padded copy of its input:
+``_im2col_matmul`` pads per block, copying only the input rows a block reads
+into one zero-bordered slab, unrolls that block's columns (at most
+``IM2COL_BLOCK`` elements) into one scratch buffer and writes the block's
+output columns with its own GEMM.
 
 Tensors are treated as immutable after creation except for their ``grad``
 buffer. A graph must stay confined to one thread; independent graphs over
@@ -24,7 +26,6 @@ disjoint parameters may run concurrently.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -380,13 +381,22 @@ def reshape(a, *shape) -> Tensor:
 
 
 def take(a, index) -> Tensor:
-    """Basic slicing/indexing with gradient scattered back into place."""
+    """Slicing/indexing with gradient scattered back into place.
+
+    An index holding an array or list may repeat an element, so its
+    gradient is accumulated unbuffered; a basic index cannot repeat one.
+    """
     a = as_tensor(a)
     out = Tensor(np.asarray(a.data[index]))
+    advanced = any(isinstance(i, (list, np.ndarray))
+                   for i in (index if isinstance(index, tuple) else (index,)))
 
     def vjp(g, needs):
         full = np.zeros_like(a.data)
-        full[index] += g
+        if advanced:
+            np.add.at(full, index, g)
+        else:
+            full[index] += g
         return (full,)
 
     return _record(out, (a,), vjp)
@@ -423,7 +433,8 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, slope * a.data))
+    y = slope * a.data
+    out = Tensor(np.maximum(a.data, y, out=y))
 
     def vjp(g, needs):
         return (g * np.where(a.data >= 0, 1.0, slope),)
@@ -485,29 +496,48 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple
 
 def _im2col_matmul(left: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
                    padding: int) -> tuple:
-    """``left @ _im2col(x)[0]`` without the whole column matrix.
+    """``left @ _im2col(x)[0]`` without the whole column matrix or padded input.
 
     The columns are unrolled a block at a time into one scratch buffer of at
     most IM2COL_BLOCK elements: whole batch items while one item fits (so each
     GEMM is as wide as it can be), else whole output rows of one item, at
-    least one row. One GEMM per block writes its slice of the output.
+    least one row. One GEMM per block writes its slice of the output. With
+    padding, each block's input rows are first copied into one zero-bordered
+    slab: its side columns are never written, and its rows above or below the
+    input are zeroed per block.
     """
-    windows, oh, ow = _windows(x, kh, kw, stride, padding)
-    b = x.shape[0]
-    k = x.shape[1] * kh * kw
+    b, c, h, w = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    k = c * kh * kw
     items = IM2COL_BLOCK // max(k * oh * ow, 1)
     if items:
-        blocks = [windows[:, :, :, i:i + items] for i in range(0, b, items)]
+        blocks = [(i, min(i + items, b), 0, oh) for i in range(0, b, items)]
     else:
         rows = max(IM2COL_BLOCK // (k * ow), 1)
-        blocks = [windows[:, :, :, i, r:r + rows] for i in range(b) for r in range(0, oh, rows)]
+        blocks = [(i, i + 1, r, min(r + rows, oh)) for i in range(b) for r in range(0, oh, rows)]
+    i0, i1, r0, r1 = blocks[0]  # the first block is the largest
+    scratch = np.empty(k * (i1 - i0) * (r1 - r0) * ow)
+    if padding:
+        slab = np.zeros((i1 - i0, c, (r1 - r0 - 1) * stride + kh, w + 2 * padding))
     out = np.empty((left.shape[0], b * oh * ow))
-    scratch = np.empty(max((block.size for block in blocks), default=0))
     start = 0
-    for block in blocks:
-        cols = scratch[:block.size].reshape(block.shape)
-        cols[...] = block
-        n = math.prod(block.shape[3:])
+    for i0, i1, r0, r1 in blocks:
+        top = r0 * stride - padding  # input row of the block's first padded row
+        span = (r1 - r0 - 1) * stride + kh
+        if padding:
+            src = slab[:i1 - i0, :, :span]
+            lo = min(max(-top, 0), span)
+            hi = min(max(h - top, lo), span)
+            src[:, :, :lo] = 0.0
+            src[:, :, hi:] = 0.0
+            src[:, :, lo:hi, padding:padding + w] = x[i0:i1, :, top + lo:top + hi]
+        else:
+            src = x[i0:i1, :, top:top + span]
+        windows, _, _ = _windows(src, kh, kw, stride, 0)
+        n = (i1 - i0) * (r1 - r0) * ow
+        cols = scratch[:k * n].reshape(windows.shape)
+        cols[...] = windows
         np.matmul(left, cols.reshape(k, n), out=out[:, start:start + n])
         start += n
     return out, oh, ow
@@ -634,10 +664,12 @@ def upsample_nearest(x, factor: int) -> Tensor:
         raise ValueError(f"upsample_nearest: factor must be a positive int, got {factor}")
     if x.ndim != 4:
         raise ShapeError(f"upsample_nearest expects rank-4 input, got {x.shape}")
-    out = Tensor(np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3))
+    b, c, h, w = x.shape
+    blocks = np.empty((b, c, h, factor, w, factor))
+    blocks[...] = x.data[:, :, :, None, :, None]
+    out = Tensor(blocks.reshape(b, c, h * factor, w * factor))
 
     def vjp(g, needs):
-        b, c, h, w = x.shape
         return (g.reshape(b, c, h, factor, w, factor).sum(axis=(3, 5)),)
 
     return _record(out, (x,), vjp)

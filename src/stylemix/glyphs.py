@@ -13,6 +13,7 @@ style x novel content, d3 = novel style x known content, d4 = novel x novel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -166,19 +167,27 @@ def render_glyph(style: StyleSpec, glyph: GlyphSpec, size: int) -> np.ndarray:
     coords = (np.arange(size) + 0.5) / size
     px, py = np.meshgrid(coords, coords)  # px varies along columns
     dist = np.full((size, size), np.inf)
+    # coverage is exactly 0 at distances beyond thickness/2 + ramp/2, so each
+    # segment's distance is only needed inside its bounding box grown by that
+    # plus half a pixel of slack
+    reach = style.stroke_thickness / 2.0 + 1.0 / size
     for stroke in glyph.strokes:
         pts = _transform_points(np.asarray(stroke, dtype=np.float64), style)
         for a, b in zip(pts[:-1], pts[1:]):
+            x0, y0 = ((np.minimum(a, b) - reach) * size - 0.5).tolist()
+            x1, y1 = ((np.maximum(a, b) + reach) * size - 0.5).tolist()
+            box = (slice(max(math.ceil(y0), 0), max(math.floor(y1) + 1, 0)),
+                   slice(max(math.ceil(x0), 0), max(math.floor(x1) + 1, 0)))
+            bx, by = px[box], py[box]
             v = b - a
             vv = float(v @ v)
             if vv == 0.0:
-                dx, dy = px - a[0], py - a[1]
-                dist = np.minimum(dist, np.hypot(dx, dy))
-                continue
-            t = np.clip(((px - a[0]) * v[0] + (py - a[1]) * v[1]) / vv, 0.0, 1.0)
-            dx = px - (a[0] + t * v[0])
-            dy = py - (a[1] + t * v[1])
-            dist = np.minimum(dist, np.hypot(dx, dy))
+                dx, dy = bx - a[0], by - a[1]
+            else:
+                t = np.clip(((bx - a[0]) * v[0] + (by - a[1]) * v[1]) / vv, 0.0, 1.0)
+                dx = bx - (a[0] + t * v[0])
+                dy = by - (a[1] + t * v[1])
+            dist[box] = np.minimum(dist[box], np.hypot(dx, dy))
     ramp = 1.0 / size
     coverage = np.clip((style.stroke_thickness / 2.0 - dist) / ramp + 0.5, 0.0, 1.0)
     return 1.0 - style.darkness * coverage

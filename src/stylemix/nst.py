@@ -338,10 +338,13 @@ class NstNet:
             )
         return x
 
-    def _conv_block(self, name: str, x: Tensor, stride: int, slope: float) -> Tensor:
+    def _conv(self, name: str, x: Tensor, stride: int = 1) -> Tensor:
         k = self.params[f"{name}.kernel"]
-        out = conv2d(x, k, self.params[f"{name}.bias"], stride=stride,
-                     padding=(k.shape[2] - 1) // 2)
+        return conv2d(x, k, self.params[f"{name}.bias"], stride=stride,
+                      padding=(k.shape[2] - 1) // 2)
+
+    def _conv_block(self, name: str, x: Tensor, stride: int, slope: float) -> Tensor:
+        out = self._conv(name, x, stride)
         return leaky_relu(out, slope) if slope != 0.0 else relu(out)
 
     def _res_block(self, name: str, x: Tensor, slope: float) -> Tensor:
@@ -388,13 +391,11 @@ class NstNet:
         if len(sizes) != n_up:
             raise ShapeError(f"decode expects {n_up} recorded sizes, got {len(sizes)}")
         for i in range(n_up):
-            out = upsample_nearest(out, 2)
             h, w = sizes[len(sizes) - 1 - i]
-            out = out[:, :, :h, :w]
-            out = self._conv_block(f"decoder.up{i}", out, 1, 0.0)
-        k = self.params["decoder.out.kernel"]
-        return conv2d(out, k, self.params["decoder.out.bias"], stride=1,
-                      padding=(k.shape[2] - 1) // 2)
+            # no name holds the upsampled map, so without a tape it is freed
+            # as soon as the conv returns, before relu allocates
+            out = relu(self._conv(f"decoder.up{i}", upsample_nearest(out, 2)[:, :, :h, :w]))
+        return self._conv("decoder.out", out)
 
     def mix_features(self, content_img, stats: ChannelStats):
         """Content features re-normalized to ``stats``, plus the decoder's sizes."""
@@ -459,14 +460,17 @@ class FeatureExtractor:
     """
 
     def __init__(self, config: ExtractorConfig = ExtractorConfig(), seed: int = 0):
-        self.config = config
         rng = np.random.default_rng([813, seed])
+        self._build(config, lambda shape, std: rng.normal(0.0, std, size=shape))
+
+    def _build(self, config: ExtractorConfig, draw) -> None:
+        """Set the config and each stage kernel from ``draw(shape, std)``."""
+        self.config = config
         self.weights: dict = {}
         cin = config.image_channels
         k = config.kernel
         for i, cout in enumerate(config.stage_channels):
-            self.weights[f"stage{i}.kernel"] = Tensor(
-                rng.normal(0.0, _he_std(cin, k), size=(cout, cin, k, k)))
+            self.weights[f"stage{i}.kernel"] = Tensor(draw((cout, cin, k, k), _he_std(cin, k)))
             self.weights[f"stage{i}.bias"] = Tensor(np.zeros(cout))
             cin = cout
 
@@ -494,7 +498,9 @@ class FeatureExtractor:
 
     @classmethod
     def from_state(cls, arrays: dict) -> "FeatureExtractor":
-        extractor = cls(read_config(ExtractorConfig, arrays, "meta.extractor"))
+        extractor = cls.__new__(cls)
+        extractor._build(read_config(ExtractorConfig, arrays, "meta.extractor"),
+                         lambda shape, std: np.empty(shape))  # overwritten below
         check_state(extractor.state_arrays(), arrays, "meta.extractor")
         for name in extractor.weights:
             extractor.weights[name] = Tensor(np.asarray(arrays[name], dtype=np.float64))

@@ -259,6 +259,56 @@ class TestConvKernels:
         padded = 32 * 258 * 258 * 8
         assert peak <= padded + out.data.nbytes + (2 << 20)  # the columns are 151 MB
 
+    @pytest.mark.parametrize("x_shape,k,stride,padding", [
+        ((1, 3, 3, 3), 5, 1, 2),  # one block whose halo lies above and below the input
+        ((2, 3, 15, 11), 3, 2, 1),  # odd sizes at stride 2
+        ((3, 2, 9, 7), 5, 2, 2),
+    ])
+    def test_im2col_matmul_padded_per_block(self, x_shape, k, stride, padding):
+        rng = np.random.default_rng(sum(x_shape) + k)
+        x = rng.normal(size=x_shape)
+        wmat = rng.normal(size=(4, x_shape[1] * k * k))
+        got, _, _ = ad._im2col_matmul(wmat, x, k, k, stride, padding)
+        assert np.array_equal(got, wmat @ ad._im2col(x, k, k, stride, padding)[0])
+
+    @pytest.mark.parametrize("x_shape,k,stride,padding,block", [
+        ((5, 3, 9, 8), 3, 2, 1, 10),  # one row per block
+        ((5, 3, 9, 8), 3, 2, 1, 350),  # three rows per block
+        ((2, 3, 17, 9), 5, 2, 2, 10),
+        ((2, 3, 17, 9), 5, 2, 2, 350),
+        ((1, 4, 7, 5), 1, 3, 2, 10),  # the first and last rows lie wholly in the padding
+    ])
+    def test_im2col_matmul_small_blocks_bitwise(self, monkeypatch, x_shape, k, stride,
+                                                padding, block):
+        """Each row block's GEMM equals one GEMM over the same columns of _im2col(x)."""
+        monkeypatch.setattr(ad, "IM2COL_BLOCK", block)
+        rng = np.random.default_rng(block + sum(x_shape))
+        x = rng.normal(size=x_shape)
+        c = x_shape[1] * k * k
+        wmat = rng.normal(size=(4, c))
+        got, oh, ow = ad._im2col_matmul(wmat, x, k, k, stride, padding)
+        cols = ad._im2col(x, k, k, stride, padding)[0]
+        rows = max(block // (c * ow), 1)
+        assert block < c * oh * ow  # the split is by rows of one item
+        starts = [(i * oh + r) * ow for i in range(x_shape[0]) for r in range(0, oh, rows)]
+        ends = starts[1:] + [cols.shape[1]]
+        want = np.concatenate(
+            [wmat @ np.ascontiguousarray(cols[:, s:e]) for s, e in zip(starts, ends)], axis=1)
+        assert np.array_equal(got, want)
+
+    def test_conv2d_forward_holds_no_padded_input(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(1, 32, 256, 256)))
+        w = Tensor(rng.normal(size=(16, 32, 3, 3)))
+        b = Tensor(np.zeros(16))
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, w, b, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + (2 << 20)  # the padded input alone is 17 MB
+
 
 class TestBatchNorm:
     def test_constant_channel_maps_to_zero(self):
@@ -330,6 +380,16 @@ class TestActivations:
         with np.errstate(invalid="ignore"):  # 0 * inf
             assert np.isnan(ad.relu(x).data).all()
 
+    def test_leaky_relu_allocates_only_its_output(self):
+        x = Tensor(np.random.default_rng(6).normal(size=(1, 16, 256, 256)))
+        tracemalloc.start()
+        try:
+            out = ad.leaky_relu(x, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + (64 << 10)
+
     @pytest.mark.parametrize("slope", [-0.1, 1.5, np.nan])
     def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
         with pytest.raises(ValueError, match="slope"):
@@ -384,6 +444,18 @@ class TestUpsampleAndPool:
         x = rng.normal(size=(2, 3, 4, 5))
         y = ad.upsample_nearest(Tensor(x), factor)
         assert np.isclose(y.data.sum(), factor ** 2 * x.sum())
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_upsample_equals_repeat_and_allocates_only_its_output(self, factor):
+        x = np.random.default_rng(factor).normal(size=(2, 8, 64, 48))
+        tracemalloc.start()
+        try:
+            out = ad.upsample_nearest(Tensor(x), factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out.data, np.repeat(np.repeat(x, factor, axis=2), factor, axis=3))
+        assert peak <= out.data.nbytes + (64 << 10)
 
     def test_upsample_rejects_bad_factor(self):
         with pytest.raises(ValueError, match="factor"):
@@ -535,6 +607,30 @@ class TestBackward:
                 loss = (x * 3.0).sum()
             g.backward(loss)
         assert np.allclose(x.grad, [6.0])
+
+    @pytest.mark.parametrize("index", [
+        np.array([0, 0, 2]),
+        [0, 0, 2],
+        (slice(None), np.array([1, 1])),
+    ])
+    def test_take_accumulates_repeated_indices(self, index):
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        g = Graph()
+        with g:
+            loss = x[index].sum()
+        g.backward(loss)
+        want = np.zeros((3, 2))
+        np.add.at(want, index, 1.0)
+        assert np.array_equal(x.grad, want)
+        assert want.max() == 2.0
+
+    def test_take_basic_slice_scatters_into_place(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        g = Graph()
+        with g:
+            loss = x[1:, ::2].sum()
+        g.backward(loss)
+        assert x.grad.tolist() == [[0, 0, 0, 0], [1, 0, 1, 0], [1, 0, 1, 0]]
 
 
 class TestDeterminismAndFiniteness:

@@ -28,6 +28,28 @@ from stylemix.glyphs import (
 GOLDEN_RENDER_SHA256 = "179bb659768dab7cd976d7ed5467361c815d9a767ecf838f360a197cd34ef3fe"
 
 
+def render_glyph_full_image(style, glyph, size):
+    """Reference rasterizer: every segment's distance over the whole image."""
+    coords = (np.arange(size) + 0.5) / size
+    px, py = np.meshgrid(coords, coords)
+    dist = np.full((size, size), np.inf)
+    for stroke in glyph.strokes:
+        pts = glyphs._transform_points(np.asarray(stroke, dtype=np.float64), style)
+        for a, b in zip(pts[:-1], pts[1:]):
+            v = b - a
+            vv = float(v @ v)
+            if vv == 0.0:
+                dist = np.minimum(dist, np.hypot(px - a[0], py - a[1]))
+                continue
+            t = np.clip(((px - a[0]) * v[0] + (py - a[1]) * v[1]) / vv, 0.0, 1.0)
+            dx = px - (a[0] + t * v[0])
+            dy = py - (a[1] + t * v[1])
+            dist = np.minimum(dist, np.hypot(dx, dy))
+    ramp = 1.0 / size
+    coverage = np.clip((style.stroke_thickness / 2.0 - dist) / ramp + 0.5, 0.0, 1.0)
+    return 1.0 - style.darkness * coverage
+
+
 class TestStyleSpec:
     def test_parameters_inside_declared_ranges(self):
         for style_id in range(50):
@@ -88,6 +110,25 @@ class TestRenderGlyph:
     def test_golden_hash_is_stable(self):
         image = render_glyph(style_spec(7, 3), glyph_spec(5), 64)
         assert hashlib.sha256(image.tobytes()).hexdigest() == GOLDEN_RENDER_SHA256
+
+    @pytest.mark.parametrize("size", [16, 64, 80])
+    def test_equals_the_full_image_reference_byte_for_byte(self, size):
+        for style_id in range(6):
+            style = style_spec(3, style_id)
+            for content_id in range(0, 60, 7):
+                glyph = glyph_spec(content_id)
+                got = render_glyph(style, glyph, size)
+                assert got.tobytes() == render_glyph_full_image(style, glyph, size).tobytes()
+
+    def test_segment_outside_the_image_and_zero_length_segment(self):
+        style = StyleSpec(style_id=0, stroke_thickness=0.1, slant=0.0, scale=1.0, darkness=0.9)
+        glyph = GlyphSpec(content_id=0, strokes=(
+            np.array([[-0.5, -0.4], [-0.3, -0.6]]),  # wholly off the image
+            np.array([[0.02, 0.98], [0.02, 0.98]]),  # a dot in the corner
+            np.array([[0.3, 0.3], [0.7, 0.6], [0.9, 0.1]]),
+        ))
+        got = render_glyph(style, glyph, 32)
+        assert got.tobytes() == render_glyph_full_image(style, glyph, 32).tobytes()
 
     def test_pure_function(self):
         style, glyph = style_spec(1, 2), glyph_spec(3)

@@ -232,6 +232,19 @@ def test_upsample_and_concat_gradients(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_take_gradients_with_repeated_index(seed):
+    rng = np.random.default_rng(950 + seed)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    index = (np.array([0, 2, 0, 3, 2]), slice(1, None))
+    proj = _proj(rng, (5, 2))
+
+    def make_loss():
+        return (x[index] * proj).sum()
+
+    check_gradients(make_loss, [x], tol=1e-4)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_elementwise_composite_gradients(seed):
     """add/sub/mul/div/sqrt/abs/mean/reshape/slice in one expression."""
     rng = np.random.default_rng(1000 + seed)

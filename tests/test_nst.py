@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,18 @@ class TestNstNet:
         rebuilt = NstNet.from_state(_through_file(state, tmp_path, through_file))
         assert rebuilt.config == CUSTOM_NST
 
+    def test_forward_at_256_px_holds_no_throwaway_copies(self, nst_net):
+        rng = np.random.default_rng(18)
+        style = rng.uniform(size=(1, 3, 256, 256))
+        content = rng.uniform(size=(1, 3, 256, 256))
+        tracemalloc.start()
+        try:
+            nst_net.forward_tradeoff(style, content, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6  # with padded inputs and doubled activations: 47 MB
+
     def test_tradeoff_alpha_sweep_is_continuous(self, nst_net):
         rng = np.random.default_rng(14)
         style = Tensor(rng.uniform(size=(1, 3, 24, 24)))
@@ -442,6 +455,19 @@ class TestFeatureExtractor:
         got = loaded.taps(image)[-1]
         assert np.array_equal(want.data, got.data)
         assert loaded.config == extractor.config
+
+    def test_from_state_draws_no_random_weights(self, monkeypatch):
+        state = FeatureExtractor(CUSTOM_EXTRACTOR, seed=2).state_arrays()
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("from_state drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded = FeatureExtractor.from_state(state)
+        rebuilt = loaded.state_arrays()
+        assert loaded.config == CUSTOM_EXTRACTOR
+        assert rebuilt.keys() == state.keys()
+        assert all(np.array_equal(rebuilt[name], state[name]) for name in state)
 
     @pytest.mark.parametrize("through_file", [False, True])
     def test_whole_config_round_trips(self, tmp_path, through_file):
