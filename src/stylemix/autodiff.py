@@ -1,11 +1,19 @@
 """Reverse-mode autodiff over numpy arrays.
 
-Everything computes in float64. A forward pass records onto an explicit
-:class:`Graph` (used as a context manager); :func:`backward` replays the tape
-in reverse and writes ``.grad`` only into leaves that require it, a leaf being
-a tensor no recorded op produced (parameters and inputs). Op outputs never get
-a ``.grad``: each intermediate gradient is dropped as soon as its op's VJP
-has consumed it. Without an active graph, ops run forward-only.
+Dtype rule: a :class:`Tensor` built from float32 data stays float32 and any
+other data becomes float64; an op computes in its operands' dtype (numpy's
+promotion when they differ), and a Python number combined with a tensor takes
+that tensor's dtype, so ``0.5 * x`` stays float32 for a float32 ``x`` under
+numpy 1.x and 2.x alike. The buffers an op allocates take its input's dtype.
+There is no global precision mode: training and gradients run in float64
+because their inputs are float64, and float32 is for inference.
+
+A forward pass records onto an explicit :class:`Graph` (used as a context
+manager); :meth:`Graph.backward` replays the tape in reverse and writes
+``.grad`` only into leaves that require it, a leaf being a tensor no recorded
+op produced (parameters and inputs). Op outputs never get a ``.grad``: each
+intermediate gradient is dropped as soon as its op's VJP has consumed it.
+Without an active graph, ops run forward-only.
 
 Every convolution-family product is a GEMM against unrolled columns:
 ``_im2col`` unrolls a zero-padded [B,C,H,W] input into columns
@@ -53,13 +61,23 @@ class ChannelStats:
     std: "np.ndarray | Tensor"
 
 
+def float_array(data) -> np.ndarray:
+    """``data`` as a float array: float32 data stays float32, anything else becomes float64."""
+    if getattr(data, "dtype", None) == np.float32:
+        return np.asarray(data)
+    return np.asarray(data, dtype=np.float64)
+
+
 class Tensor:
-    """n-dimensional float64 array with optional gradient-tape participation."""
+    """n-dimensional float32 or float64 array with optional gradient-tape participation.
+
+    The data is ``float_array(data)``: float32 stays float32, the rest is float64.
+    """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = float_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -132,6 +150,16 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _operands(a, b) -> tuple:
+    """Both operands as Tensors; a Python number takes the other operand's dtype."""
+    if isinstance(b, Tensor) and isinstance(a, (int, float)):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    a = as_tensor(a)
+    if isinstance(b, (int, float)):
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    return a, as_tensor(b)
 
 
 class _Node:
@@ -219,10 +247,6 @@ class Graph:
                 tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
-def backward(loss: Tensor, graph: Graph) -> None:
-    graph.backward(loss)
-
-
 def _record(out: Tensor, parents: tuple, vjp) -> Tensor:
     stack = _graph_stack()
     if stack and any(p.requires_grad for p in parents):
@@ -249,7 +273,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data + b.data)
 
     def vjp(g, needs):
@@ -262,7 +286,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data - b.data)
 
     def vjp(g, needs):
@@ -275,7 +299,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data * b.data)
 
     def vjp(g, needs):
@@ -288,7 +312,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data / b.data)
 
     def vjp(g, needs):
@@ -467,7 +491,8 @@ def sigmoid(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-# float64 elements of conv2d's forward im2col scratch (1 MiB)
+# elements, not bytes, of conv2d's forward im2col scratch: 1 MiB in float64,
+# 512 KiB in float32
 IM2COL_BLOCK = 1 << 17
 
 
@@ -475,7 +500,7 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tupl
     """Read-only view [C,kh,kw,B,oh,ow] of the windows of [B,C,H,W], zero-padded."""
     b, c, h, w = x.shape
     if padding:
-        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         xp[:, :, padding:-padding, padding:-padding] = x
         x = xp
     oh = (h + 2 * padding - kh) // stride + 1
@@ -510,6 +535,9 @@ def _im2col_matmul(left: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: in
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     k = c * kh * kw
+    dtype = np.result_type(left, x)
+    if not b:
+        return np.empty((left.shape[0], 0), dtype=dtype), oh, ow
     items = IM2COL_BLOCK // max(k * oh * ow, 1)
     if items:
         blocks = [(i, min(i + items, b), 0, oh) for i in range(0, b, items)]
@@ -517,10 +545,11 @@ def _im2col_matmul(left: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: in
         rows = max(IM2COL_BLOCK // (k * ow), 1)
         blocks = [(i, i + 1, r, min(r + rows, oh)) for i in range(b) for r in range(0, oh, rows)]
     i0, i1, r0, r1 = blocks[0]  # the first block is the largest
-    scratch = np.empty(k * (i1 - i0) * (r1 - r0) * ow)
+    scratch = np.empty(k * (i1 - i0) * (r1 - r0) * ow, dtype=dtype)
     if padding:
-        slab = np.zeros((i1 - i0, c, (r1 - r0 - 1) * stride + kh, w + 2 * padding))
-    out = np.empty((left.shape[0], b * oh * ow))
+        slab = np.zeros((i1 - i0, c, (r1 - r0 - 1) * stride + kh, w + 2 * padding),
+                        dtype=x.dtype)
+    out = np.empty((left.shape[0], b * oh * ow), dtype=dtype)
     start = 0
     for i0, i1, r0, r1 in blocks:
         top = r0 * stride - padding  # input row of the block's first padded row
@@ -551,7 +580,7 @@ def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, stride: int,
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
     blocks = cols.reshape(c, kh, kw, b, oh, ow)
-    out = np.zeros((c, b, hp, wp))
+    out = np.zeros((c, b, hp, wp), dtype=cols.dtype)
     for u in range(kh):
         for v in range(kw):
             out[:, :, u:u + (oh - 1) * stride + 1:stride,
@@ -566,7 +595,7 @@ def _rows(x: np.ndarray) -> np.ndarray:
 
 def _unrows(m: np.ndarray, b: int, h: int, w: int) -> np.ndarray:
     """[C, B*H*W] -> [B,C,H,W], the inverse of _rows."""
-    return m.reshape(-1, b, h, w).transpose(1, 0, 2, 3)
+    return m.reshape(m.shape[0], b, h, w).transpose(1, 0, 2, 3)
 
 
 def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
@@ -590,7 +619,8 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(
             f"conv2d: padded input {x.shape} smaller than kernel {w.shape[2:]}"
         )
-    wmat = w.data.reshape(w.shape[0], -1)
+    wmat = w.data.reshape(w.shape[0], -1).astype(
+        np.result_type(x.data, w.data, b.data), copy=False)
     y, oh, ow = _im2col_matmul(wmat, x.data, kh, kw, stride, padding)
     y += b.data[:, None]
     out = Tensor(_unrows(y, x.shape[0], oh, ow))
@@ -665,7 +695,7 @@ def upsample_nearest(x, factor: int) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"upsample_nearest expects rank-4 input, got {x.shape}")
     b, c, h, w = x.shape
-    blocks = np.empty((b, c, h, factor, w, factor))
+    blocks = np.empty((b, c, h, factor, w, factor), dtype=x.data.dtype)
     blocks[...] = x.data[:, :, :, None, :, None]
     out = Tensor(blocks.reshape(b, c, h * factor, w * factor))
 

@@ -6,6 +6,11 @@ table over the four cells), nst (statistic-matching stylization with
 trade-off or two-style interpolation), nst-init (fresh stylization
 checkpoint).
 
+``nst`` runs in float32, the precision its checkpoint stores: the net is built
+from the checkpoint tensors cast to float32 and the images are read as
+float32, so every op of the forward computes in float32. All other commands,
+and all training, compute in float64.
+
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric failure.
 """
 
@@ -163,7 +168,7 @@ def _cmd_eval(args) -> int:
 
 
 def _load_nst_image(path) -> np.ndarray:
-    image = netpbm.read_image(path)
+    image = netpbm.read_image(path).astype(np.float32)
     if image.ndim == 2:
         image = np.stack([image, image, image])
     return image
@@ -172,7 +177,8 @@ def _load_nst_image(path) -> np.ndarray:
 def _cmd_nst(args, parser) -> int:
     if not 0.0 <= args.alpha <= 1.0:
         parser.error(f"--alpha must lie in [0, 1], got {args.alpha}")
-    net = NstNet.from_state(load_checkpoint(args.ckpt))
+    net = NstNet.from_state(
+        {name: a.astype(np.float32) for name, a in load_checkpoint(args.ckpt).items()})
     style = Tensor(_load_nst_image(args.style)[None])
     content = Tensor(_load_nst_image(args.content)[None])
     if args.interp_style2:

@@ -20,11 +20,19 @@ def quantize(image: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
 
 
+def _check_finite(arr: np.ndarray, writer: str) -> None:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise NetpbmError(f"{writer}: image holds {arr.size - np.count_nonzero(finite)} "
+                          f"non-finite values (NaN or inf); nothing written")
+
+
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write a [H, W] float image in [0, 1] as a binary P5 file."""
+    """Write a [H, W] float image in [0, 1] as a binary P5 file; NaN or inf raises."""
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise NetpbmError(f"write_pgm expects a [H, W] image, got shape {arr.shape}")
+    _check_finite(arr, "write_pgm")
     h, w = arr.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -32,10 +40,11 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def write_ppm(path, image: np.ndarray) -> None:
-    """Write a [3, H, W] float image in [0, 1] as a binary P6 file."""
+    """Write a [3, H, W] float image in [0, 1] as a binary P6 file; NaN or inf raises."""
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise NetpbmError(f"write_ppm expects a [3, H, W] image, got shape {arr.shape}")
+    _check_finite(arr, "write_ppm")
     h, w = arr.shape[1], arr.shape[2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))

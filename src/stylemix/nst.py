@@ -24,6 +24,7 @@ from stylemix.autodiff import (
     Tensor,
     as_tensor,
     conv2d,
+    float_array,
     fully_connected,
     global_avg_pool,
     leaky_relu,
@@ -314,11 +315,12 @@ class NstNet:
 
     @classmethod
     def from_state(cls, arrays: dict) -> "NstNet":
+        """The net ``arrays`` describes; float32 weights stay float32, others become float64."""
         config = read_config(NstConfig, arrays, "meta.nst")
         net = cls._build(config, lambda shape, std: np.empty(shape))  # overwritten below
         check_state(net.state_arrays(), arrays, "meta.nst")
         for name, tensor in net.params.items():
-            tensor.data = np.asarray(arrays[name], dtype=np.float64)
+            tensor.data = float_array(arrays[name])
         return net
 
     # -- forward -------------------------------------------------------------

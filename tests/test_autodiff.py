@@ -571,14 +571,6 @@ class TestBackward:
         with pytest.raises(ad.GraphError, match="consumed"):
             g.backward(loss)
 
-    def test_module_level_backward_helper(self):
-        x = Tensor([3.0], requires_grad=True)
-        g = Graph()
-        with g:
-            loss = (x * x).sum()
-        ad.backward(loss, g)
-        assert np.allclose(x.grad, [6.0])
-
     def test_no_recording_outside_graph(self):
         x = Tensor([1.0], requires_grad=True)
         y = x * 2.0
@@ -654,3 +646,105 @@ class TestDeterminismAndFiniteness:
         y = ad.sigmoid(ad.batchnorm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3))))
         z = ad.global_avg_pool(ad.upsample_nearest(y, 2))
         assert np.isfinite(z.data).all()
+
+
+class TestDtypeRule:
+    """float32 data stays float32 through every op; all else computes in float64."""
+
+    @pytest.mark.parametrize("data", [[1.0, 2.0], 3, np.arange(4), np.ones(2, np.float16)])
+    def test_non_float32_data_becomes_float64(self, data):
+        assert Tensor(data).data.dtype == np.float64
+
+    def test_float32_data_stays_float32_without_a_copy(self):
+        data = np.ones((2, 3), np.float32)
+        assert Tensor(data).data is data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", [
+        lambda x: x + 0.5,
+        lambda x: 0.5 + x,
+        lambda x: x * 0.5,
+        lambda x: 2 * x,
+        lambda x: 1.0 - x,
+        lambda x: x / 3.0,
+        lambda x: x[:, :, :5, :3],
+        lambda x: ad.relu(x),
+        lambda x: ad.leaky_relu(x, 0.2),
+        lambda x: ad.upsample_nearest(x, 2),
+        lambda x: ad.global_avg_pool(x),
+        lambda x: ad.sqrt(x * x + 1e-8),
+        lambda x: x.mean(axis=(2, 3)),
+    ])
+    def test_elementwise_and_structural_ops_keep_dtype(self, dtype, op):
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 6, 4)).astype(dtype))
+        assert op(x).data.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0)])
+    def test_conv2d_keeps_dtype_and_agrees_across_dtypes(self, dtype, stride, padding):
+        rng = np.random.default_rng(stride + padding)
+        x, w, b = rng.normal(size=(2, 3, 9, 8)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+        got = ad.conv2d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)),
+                        Tensor(b.astype(dtype)), stride=stride, padding=padding)
+        assert got.data.dtype == dtype
+        want = conv2d_bruteforce(x, w, b, stride, padding)
+        assert np.abs(got.data - want).max() <= (1e-5 if dtype == np.float32 else 1e-12)
+
+    @pytest.mark.parametrize("block", [10, 350])
+    def test_im2col_matmul_float32_row_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(ad, "IM2COL_BLOCK", block)
+        rng = np.random.default_rng(block)
+        x = rng.normal(size=(5, 3, 9, 8)).astype(np.float32)
+        wmat = rng.normal(size=(4, 27)).astype(np.float32)
+        got, _, _ = ad._im2col_matmul(wmat, x, 3, 3, 2, 1)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, wmat @ ad._im2col(x, 3, 3, 2, 1)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fully_connected_keeps_dtype(self, dtype):
+        rng = np.random.default_rng(1)
+        out = ad.fully_connected(Tensor(rng.normal(size=(2, 5)).astype(dtype)),
+                                 Tensor(rng.normal(size=(3, 5)).astype(dtype)),
+                                 Tensor(np.zeros(3, dtype)))
+        assert out.data.dtype == dtype
+
+    def test_mixed_operands_promote_to_float64(self):
+        x32 = Tensor(np.ones((1, 2, 4, 4), np.float32))
+        assert (x32 + Tensor(np.ones(1))).data.dtype == np.float64
+        out = ad.conv2d(x32, Tensor(np.ones((1, 2, 1, 1))), Tensor(np.zeros(1, np.float32)))
+        assert out.data.dtype == np.float64
+
+    def test_float64_scalar_operand_is_the_old_float64_value(self):
+        x = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
+        assert np.array_equal((x * 0.1).data, x.data * np.asarray(0.1, dtype=np.float64))
+        assert np.array_equal((0.3 - x).data, np.asarray(0.3, dtype=np.float64) - x.data)
+
+
+class TestEmptyBatch:
+    def test_conv2d_returns_an_empty_batch_and_zero_parameter_gradients(self):
+        x = Tensor(np.zeros((0, 3, 8, 8)), requires_grad=True)
+        w = Tensor(np.ones((4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(np.ones(4), requires_grad=True)
+        g = Graph()
+        with g:
+            out = ad.conv2d(x, w, b, stride=2, padding=1)
+            loss = out.sum()
+        assert out.shape == (0, 4, 4, 4)
+        g.backward(loss)
+        assert x.grad.shape == (0, 3, 8, 8)
+        assert np.array_equal(w.grad, np.zeros(w.shape))
+        assert np.array_equal(b.grad, np.zeros(4))
+
+    def test_deconv2d_returns_an_empty_batch_and_zero_parameter_gradients(self):
+        x = Tensor(np.zeros((0, 3, 8, 8)), requires_grad=True)
+        w = Tensor(np.ones((3, 4, 3, 3)), requires_grad=True)
+        b = Tensor(np.ones(4), requires_grad=True)
+        g = Graph()
+        with g:
+            out = ad.deconv2d(x, w, b)
+            loss = out.sum()
+        assert out.shape == (0, 4, 10, 10)
+        g.backward(loss)
+        assert x.grad.shape == (0, 3, 8, 8)
+        assert np.array_equal(w.grad, np.zeros(w.shape))
+        assert np.array_equal(b.grad, np.zeros(4))

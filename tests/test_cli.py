@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stylemix import netpbm
+from stylemix.autodiff import Tensor
 from stylemix.cli import main
 from stylemix.fontnet import FontNet
 from stylemix.nst import NstNet
@@ -248,6 +249,42 @@ class TestNstCommand:
                  "--ckpt", str(bad), "--alpha", "0.5", "--out", str(tmp_path / "x.ppm"))
         assert rc == 3
         assert "meta.nst" in capsys.readouterr().err
+
+    def test_nan_kernel_is_a_data_error_and_writes_nothing(self, corpus_dir, nst_ckpt,
+                                                           tmp_path, capsys):
+        arrays = load_checkpoint(nst_ckpt)
+        arrays["decoder.out.kernel"][0, 0, 0, 0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(bad, arrays)
+        out = tmp_path / "x.ppm"
+        rc = run("nst", "--style", str(corpus_dir / "style0000_content0000.pgm"),
+                 "--content", str(corpus_dir / "style0001_content0001.pgm"),
+                 "--ckpt", str(bad), "--alpha", "0.5", "--out", str(out))
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runs_in_float32_within_one_level_of_float64(self, corpus_dir, nst_ckpt,
+                                                         tmp_path, monkeypatch):
+        style = corpus_dir / "style0000_content0000.pgm"
+        content = corpus_dir / "style0001_content0001.pgm"
+        out = tmp_path / "f32.ppm"
+        written = []
+        write_ppm = netpbm.write_ppm
+
+        def spy(path, image):
+            written.append(image.dtype)
+            write_ppm(path, image)
+
+        monkeypatch.setattr(netpbm, "write_ppm", spy)
+        assert run("nst", "--style", str(style), "--content", str(content),
+                   "--ckpt", str(nst_ckpt), "--alpha", "0.5", "--out", str(out)) == 0
+        net = NstNet.from_state(load_checkpoint(nst_ckpt))
+        images = [Tensor(np.stack([netpbm.read_image(p)] * 3)[None]) for p in (style, content)]
+        want = netpbm.quantize(np.clip(net.forward_tradeoff(*images, 0.5).data[0], 0.0, 1.0))
+        got = np.round(netpbm.read_image(out) * 255).astype(np.uint8)
+        assert written == [np.float32]
+        assert np.abs(got.astype(int) - want.astype(int)).max() <= 1
 
 
 class TestNstInitCommand:

@@ -361,6 +361,17 @@ class TestNetpbm:
         assert back.shape == (3, 4, 5)
         assert np.abs(back - image).max() <= 0.5 / 255 + 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_writers_reject_non_finite_pixels_before_opening(self, tmp_path, bad):
+        gray = np.full((4, 5), 0.5)
+        gray[1, 2] = bad
+        color = np.stack([gray, gray, gray])
+        for write, image, path in ((netpbm.write_pgm, gray, tmp_path / "n.pgm"),
+                                   (netpbm.write_ppm, color, tmp_path / "n.ppm")):
+            with pytest.raises(netpbm.NetpbmError, match="non-finite"):
+                write(path, image)
+            assert not path.exists()
+
     def test_header_comments_are_skipped(self, tmp_path):
         path = tmp_path / "d.pgm"
         path.write_bytes(b"P5 # comment\n# another\n2 1\n255\n\x00\xff")

@@ -9,6 +9,7 @@ import pytest
 
 from gradcheck import check_gradients
 
+from stylemix import netpbm
 from stylemix.autodiff import ChannelStats, ShapeError, Tensor
 from stylemix.nst import (
     ExtractorConfig,
@@ -370,6 +371,67 @@ class TestNstNet:
         assert all(np.isfinite(o).all() for o in outputs)
         jumps = [np.abs(b - a).max() for a, b in zip(outputs[:-1], outputs[1:])]
         assert max(jumps) <= 5.0 * np.median(jumps) + 1e-9
+
+
+@pytest.fixture(scope="module")
+def nets_by_dtype():
+    """The same checkpoint-precision weights as a float32 and a float64 net."""
+    state = {name: np.asarray(a, dtype=np.float32)
+             for name, a in NstNet.initialize(NstConfig(), seed=0).state_arrays().items()}
+    return {dtype: NstNet.from_state({name: a.astype(dtype) for name, a in state.items()})
+            for dtype in (np.float32, np.float64)}
+
+
+class TestFloat32Inference:
+    """Float32 weights and images run the whole NST forward in float32."""
+
+    def test_from_state_keeps_float32_weights(self, nets_by_dtype):
+        for dtype, net in nets_by_dtype.items():
+            assert {t.data.dtype for _, t in net.params.items()} == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mixing_ops_keep_dtype(self, nets_by_dtype, dtype):
+        rng = np.random.default_rng(4)
+        net = nets_by_dtype[dtype]
+        image = Tensor(rng.uniform(size=(1, 3, 16, 16)).astype(dtype))
+        stats = net.style_encode(image)
+        f, _ = net.content_encode(image)
+        assert stats.mean.data.dtype == dtype and stats.std.data.dtype == dtype
+        assert statistic_match(f, stats, EPS).data.dtype == dtype
+        assert style_interpolate(f, stats, channel_stats(f, EPS), 0.3, EPS).data.dtype == dtype
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("px", [64, 256])
+    @pytest.mark.parametrize("path", ["tradeoff", "interpolate"])
+    def test_float32_output_agrees_with_float64(self, nets_by_dtype, seed, px, path):
+        rng = np.random.default_rng([seed, px])
+        images = [rng.uniform(size=(1, 3, px, px)) for _ in range(3)]
+
+        def run(dtype):
+            style, style2, content = (Tensor(im.astype(dtype)) for im in images)
+            net = nets_by_dtype[dtype]
+            if path == "tradeoff":
+                return net.forward_tradeoff(style, content, 0.6).data
+            return net.forward_interpolate(style, style2, content, 0.4).data
+
+        got, want = run(np.float32), run(np.float64)
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() <= 5e-4
+        levels = np.abs(netpbm.quantize(got).astype(int) - netpbm.quantize(want).astype(int))
+        assert np.count_nonzero(levels) <= 1e-3 * levels.size
+        assert levels.max() <= 1
+
+    def test_forward_at_256_px_in_float32_halves_the_peak(self, nets_by_dtype):
+        rng = np.random.default_rng(18)
+        style = Tensor(rng.uniform(size=(1, 3, 256, 256)).astype(np.float32))
+        content = Tensor(rng.uniform(size=(1, 3, 256, 256)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            nets_by_dtype[np.float32].forward_tradeoff(style, content, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28e6  # 17 MB measured; the same forward in float64: 34 MB
 
 
 class TestNstConfigValidation:
