@@ -461,7 +461,7 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     out = Tensor(np.maximum(a.data, y, out=y))
 
     def vjp(g, needs):
-        return (g * np.where(a.data >= 0, 1.0, slope),)
+        return (np.where(a.data >= 0, g, slope * g),)  # a float mask would widen float32 g
 
     return _record(out, (a,), vjp)
 
@@ -811,14 +811,19 @@ def batchnorm2d(x, gamma, beta, mode: str = "train",
         mu = np.asarray(running_stats.mean, dtype=np.float64)
         var = np.asarray(running_stats.std, dtype=np.float64) ** 2
         inv = 1.0 / np.sqrt(var + epsilon)
-        xhat = (x.data - mu[:, None, None]) * inv[:, None, None]
-        out = Tensor(gamma.data[:, None, None] * xhat + beta.data[:, None, None])
+        # gamma * ((x - mu) * inv) + beta, bitwise, in one output-sized array
+        y = x.data - mu[:, None, None]
+        y *= inv[:, None, None]
+        y *= gamma.data[:, None, None]
+        y += beta.data[:, None, None]
+        out = Tensor(y)
 
         def vjp_eval(g, needs):
             gx = gg = gb = None
             if needs[0]:
                 gx = g * (gamma.data * inv)[:, None, None]
             if needs[1]:
+                xhat = (x.data - mu[:, None, None]) * inv[:, None, None]
                 gg = (g * xhat).sum(axis=(0, 2, 3))
             if needs[2]:
                 gb = g.sum(axis=(0, 2, 3))
@@ -835,8 +840,11 @@ def batchnorm2d(x, gamma, beta, mode: str = "train",
             (1.0 - momentum) * np.asarray(running_stats.std) ** 2 + momentum * var
         )
     inv = 1.0 / np.sqrt(var + epsilon)
-    xhat = (x.data - mu[:, None, None]) * inv[:, None, None]
-    out = Tensor(gamma.data[:, None, None] * xhat + beta.data[:, None, None])
+    xhat = x.data - mu[:, None, None]
+    xhat *= inv[:, None, None]
+    y = gamma.data[:, None, None] * xhat
+    y += beta.data[:, None, None]
+    out = Tensor(y)
 
     def vjp(g, needs):
         gx = gg = gb = None

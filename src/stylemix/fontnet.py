@@ -188,11 +188,6 @@ def check_state(expected: dict, arrays: dict, key: str) -> None:
             )
 
 
-def _concat_refs(images) -> np.ndarray:
-    """Stack r [H, W] reference images into a [1, r, H, W] encoder input."""
-    return np.stack([np.asarray(im, dtype=np.float64) for im in images])[None]
-
-
 class FontNet:
     """Typeface transfer model: parameters, batch-norm buffers, forward ops."""
 
@@ -370,12 +365,27 @@ class FontNet:
 
     def generate_from_refs(self, style_images, content_images,
                            zero_skips: bool = False) -> np.ndarray:
-        """Eval-mode generation from two lists of [H, W] reference images."""
-        out = self.forward_generate(
-            Tensor(_concat_refs(style_images)), Tensor(_concat_refs(content_images)),
-            mode="eval", zero_skips=zero_skips,
-        )
-        return out.data[0, 0]
+        """Eval-mode generation for one item or a batch of items.
+
+        One item is r [H, W] reference images per role (a list or an
+        [r, H, W] array) and gives one [H, W] image. A batch is a
+        [B, r, H, W] array per role and gives [B, H, W], one forward for all
+        B items. Any other rank, or style and content batches of different
+        sizes, raise ShapeError.
+        """
+        style = np.asarray(style_images, dtype=np.float64)
+        content = np.asarray(content_images, dtype=np.float64)
+        if style.ndim != content.ndim or style.ndim not in (3, 4):
+            raise ShapeError(
+                f"reference images must be [r, H, W] or [B, r, H, W] per role, got "
+                f"style {style.shape} and content {content.shape}"
+            )
+        one_item = style.ndim == 3
+        if one_item:
+            style, content = style[None], content[None]
+        out = self.forward_generate(Tensor(style), Tensor(content), mode="eval",
+                                    zero_skips=zero_skips).data[:, 0]
+        return out[0] if one_item else out
 
 
 def stack_triplets(triplets) -> tuple:

@@ -26,6 +26,9 @@ from stylemix.nst import FeatureExtractor, LossWeights, NstNet, nst_objective
 CHECKPOINT_MAGIC = b"EMD1"
 CHECKPOINT_VERSION = 1
 ADAM_BLOCK = 16384  # elements per Adam block: two float64 scratch buffers of 128 KiB
+# items per evaluate() forward, set by memory: one forward of the default 64 px
+# net peaks at 10.0 MB traced for 3 items and 13.3 MB for 4
+EVAL_BATCH = 3
 
 
 class CheckpointError(ValueError):
@@ -312,19 +315,28 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
 
 
 def evaluate(net: FontNet, eval_suites: dict) -> dict:
-    """Mean L1/RMSE/PDAR of eval-mode generations against targets per suite."""
+    """Mean L1/RMSE/PDAR of eval-mode generations against targets per suite.
+
+    Each suite runs in chunks of ``EVAL_BATCH`` items: a chunk's reference
+    sets are stacked into [B, r, H, W] style and content arrays and go
+    through one batched ``net.generate_from_refs`` call. The per-item
+    metrics are summed in item order.
+    """
     results: dict = {}
     for cell, items in eval_suites.items():
         if not items:
             raise ValueError(f"evaluation suite {cell!r} is empty")
         l1 = rmse = pdar = 0.0
-        for item in items:
+        for start in range(0, len(items), EVAL_BATCH):
+            chunk = items[start:start + EVAL_BATCH]
             generated = net.generate_from_refs(
-                item.style_refs.images, item.content_refs.images
+                np.stack([item.style_refs.images for item in chunk]),
+                np.stack([item.content_refs.images for item in chunk]),
             )
-            l1 += l1_metric(generated, item.target)
-            rmse += rmse_metric(generated, item.target)
-            pdar += pdar_metric(generated, item.target)
+            for image, item in zip(generated, chunk):
+                l1 += l1_metric(image, item.target)
+                rmse += rmse_metric(image, item.target)
+                pdar += pdar_metric(image, item.target)
         n = len(items)
         results[cell] = SuiteMetrics(l1=l1 / n, rmse=rmse / n, pdar=pdar / n)
     return results

@@ -351,6 +351,42 @@ class TestBatchNorm:
             ad.batchnorm2d(Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.ones(2)),
                            Tensor(np.zeros(2)))
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 16, 8, 8), (3, 128, 1, 1), (1, 5, 7, 9)])
+    def test_equals_the_textbook_formula_bitwise(self, mode, dtype, shape):
+        """gamma * ((x - mu) * inv) + beta, with the statistics the mode selects."""
+        rng = np.random.default_rng(sum(shape))
+        c = shape[1]
+        x = rng.normal(1.0, 3.0, size=shape).astype(dtype)
+        gamma, beta = rng.normal(1.0, 0.5, size=c), rng.normal(size=c)
+        stats = ChannelStats(mean=rng.normal(size=c), std=rng.uniform(0.2, 3.0, size=c))
+        if mode == "eval":
+            mu, var = stats.mean, stats.std ** 2
+        else:
+            mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        want = (gamma[:, None, None] * ((x - mu[:, None, None]) * inv[:, None, None])
+                + beta[:, None, None])
+        got = ad.batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), mode=mode,
+                             running_stats=stats).data
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_eval_mode_allocates_only_its_output(self):
+        rng = np.random.default_rng(7)
+        # planes above 8192 elements: numpy buffers broadcast ops on smaller ones (64 KiB)
+        x = Tensor(rng.normal(size=(1, 16, 128, 128)))
+        gamma, beta = Tensor(rng.normal(size=16)), Tensor(rng.normal(size=16))
+        stats = ChannelStats(mean=rng.normal(size=16), std=rng.uniform(0.5, 2.0, size=16))
+        tracemalloc.start()
+        try:
+            out = ad.batchnorm2d(x, gamma, beta, mode="eval", running_stats=stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + (64 << 10)
+
 
 class TestActivations:
     def test_leaky_relu_values(self):
@@ -389,6 +425,35 @@ class TestActivations:
         finally:
             tracemalloc.stop()
         assert peak <= out.data.nbytes + (64 << 10)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.05, 0.2, 1.0])
+    def test_leaky_relu_gradient_equals_the_float_mask_form(self, slope):
+        """The VJP is bitwise g * np.where(a >= 0, 1.0, slope), signed zeros too."""
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.nan, np.inf, -np.inf]
+        a = np.concatenate([rng.normal(size=40), special, rng.permutation(special)])
+        g = np.concatenate([rng.normal(size=40), rng.permutation(special), special])
+        x = Tensor(a, requires_grad=True)
+        graph = Graph()
+        with np.errstate(invalid="ignore"):  # 0 * inf, inf - inf
+            with graph:
+                loss = (ad.leaky_relu(x, slope) * Tensor(g)).sum()
+            graph.backward(loss)
+            want = g * np.where(a >= 0, 1.0, slope)
+        assert np.array_equal(x.grad, want, equal_nan=True)
+        finite = ~np.isnan(want)
+        assert np.array_equal(np.signbit(x.grad[finite]), np.signbit(want[finite]))
+
+    def test_taped_float32_conv_and_leaky_relu_give_float32_gradients(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
+        graph = Graph()
+        with graph:
+            loss = ad.leaky_relu(ad.conv2d(x, w, b, padding=1), 0.2).sum()
+        graph.backward(loss)
+        assert [t.grad.dtype for t in (x, w, b)] == [np.float32] * 3
 
     @pytest.mark.parametrize("slope", [-0.1, 1.5, np.nan])
     def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):

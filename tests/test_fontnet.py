@@ -183,6 +183,29 @@ class TestForwardGenerate:
         assert out.shape == (1, 1, 80, 80)
 
 
+class TestGenerateFromRefs:
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_batch_equals_stacked_single_items(self, micro_net, batch):
+        """[B, r, H, W] per role gives [B, H, W]; a list of r [H, W] images gives [H, W]."""
+        rng = np.random.default_rng(13 + batch)
+        style, content = _refs(rng, batch=batch).data, _refs(rng, batch=batch).data
+        got = micro_net.generate_from_refs(style, content)
+        want = np.stack([micro_net.generate_from_refs(list(s), list(c))
+                         for s, c in zip(style, content)])
+        assert got.shape == want.shape == (batch, 16, 16)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("style_shape,content_shape", [
+        ((16, 16), (16, 16)),  # one image, no reference axis
+        ((1, 1, 2, 16, 16), (1, 1, 2, 16, 16)),
+        ((2, 16, 16), (1, 2, 16, 16)),  # one item against a batch
+        ((2, 2, 16, 16), (3, 2, 16, 16)),  # batch sizes differ
+    ])
+    def test_rejects_rank_and_batch_mismatch(self, micro_net, style_shape, content_shape):
+        with pytest.raises(ShapeError):
+            micro_net.generate_from_refs(np.zeros(style_shape), np.zeros(content_shape))
+
+
 class TestStateRoundTrip:
     def test_rebuild_reproduces_outputs(self, micro_net):
         rng = np.random.default_rng(12)

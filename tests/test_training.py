@@ -10,7 +10,7 @@ from stylemix import training
 from stylemix.autodiff import Tensor
 from stylemix.fontnet import FontNet, FontNetConfig
 from stylemix.glyphs import Corpus, CorpusConfig, build_eval_sets, sample_training_batch
-from stylemix.losses import weighted_l1_loss
+from stylemix.losses import l1_metric, pdar_metric, rmse_metric, weighted_l1_loss
 from stylemix.nst import FeatureExtractor, NstConfig, NstNet, nst_objective
 from stylemix.training import (
     ADAM_BLOCK,
@@ -379,6 +379,40 @@ class TestEvaluate:
         )
         with pytest.raises(ValueError, match="empty"):
             evaluate(net, {"d1": []})
+
+    @pytest.mark.parametrize("per_set", [1, 2, 3, 4, 7])
+    def test_equals_a_per_item_recomputation(self, corpus, per_set):
+        """Chunks of EVAL_BATCH items, the last one short, give the per-item metrics."""
+        net = FontNet.initialize(
+            FontNetConfig(image_size=16, base_channels=4, ref_count=2), seed=4
+        )
+        suites = build_eval_sets(corpus, r=2, seed=3, per_set=per_set)
+        results = evaluate(net, suites)
+        for cell, items in suites.items():
+            rows = []
+            for item in items:
+                image = net.generate_from_refs(item.style_refs.images,
+                                               item.content_refs.images)
+                rows.append([l1_metric(image, item.target), rmse_metric(image, item.target),
+                             pdar_metric(image, item.target)])
+            got = results[cell]
+            assert np.abs(np.array([got.l1, got.rmse, got.pdar])
+                          - np.mean(rows, axis=0)).max() <= 1e-12
+
+    def test_default_cell_memory_ceiling(self):
+        """One 24-item cell of the default 64 px net: 10.3 MiB traced at 3 items per
+        forward; 4 items per forward would pass 12 MiB."""
+        corpus = Corpus(CorpusConfig())
+        items = build_eval_sets(corpus, r=4, seed=1)["d1"]
+        net = FontNet.initialize(FontNetConfig())
+        tracemalloc.start()
+        try:
+            evaluate(net, {"d1": items})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(items) == 24
+        assert peak <= 12 << 20
 
 
 class TestTrainNstPair:
