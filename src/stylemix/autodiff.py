@@ -5,8 +5,9 @@ other data becomes float64; an op computes in its operands' dtype (numpy's
 promotion when they differ), and a Python number combined with a tensor takes
 that tensor's dtype, so ``0.5 * x`` stays float32 for a float32 ``x`` under
 numpy 1.x and 2.x alike. The buffers an op allocates take its input's dtype.
-There is no global precision mode: training and gradients run in float64
-because their inputs are float64, and float32 is for inference.
+There is no global precision mode: a model computes, trains and takes its
+gradients in the dtype of its parameters and inputs (``FontNet`` in float32,
+``NstNet`` training and the gradchecks in float64).
 
 A forward pass records onto an explicit :class:`Graph` (used as a context
 manager); :meth:`Graph.backward` replays the tape in reverse and writes
@@ -789,8 +790,9 @@ def batchnorm2d(x, gamma, beta, mode: str = "train",
     """Per-channel normalization of [B,C,H,W] over batch and spatial axes.
 
     Train mode normalizes with batch statistics and folds them into
-    ``running_stats`` by exponential moving average (on the variance); eval
-    mode normalizes with the running statistics.
+    ``running_stats`` by exponential moving average (on the variance), in the
+    statistics' own dtype; eval mode normalizes with the running statistics,
+    in the promoted dtype of ``x`` and those statistics.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if epsilon <= 0:
@@ -808,8 +810,9 @@ def batchnorm2d(x, gamma, beta, mode: str = "train",
     if mode == "eval":
         if running_stats is None:
             raise ValueError("batchnorm2d: eval mode requires running_stats")
-        mu = np.asarray(running_stats.mean, dtype=np.float64)
-        var = np.asarray(running_stats.std, dtype=np.float64) ** 2
+        dtype = np.result_type(x.data, running_stats.mean, running_stats.std)
+        mu = np.asarray(running_stats.mean, dtype=dtype)
+        var = np.asarray(running_stats.std, dtype=dtype) ** 2
         inv = 1.0 / np.sqrt(var + epsilon)
         # gamma * ((x - mu) * inv) + beta, bitwise, in one output-sized array
         y = x.data - mu[:, None, None]
@@ -834,11 +837,12 @@ def batchnorm2d(x, gamma, beta, mode: str = "train",
     n = x.shape[0] * x.shape[2] * x.shape[3]
     mu = x.data.mean(axis=(0, 2, 3))
     var = x.data.var(axis=(0, 2, 3))
-    if running_stats is not None:
-        running_stats.mean = (1.0 - momentum) * np.asarray(running_stats.mean) + momentum * mu
-        running_stats.std = np.sqrt(
-            (1.0 - momentum) * np.asarray(running_stats.std) ** 2 + momentum * var
-        )
+    if running_stats is not None:  # the running statistics keep their dtype
+        mean, std = np.asarray(running_stats.mean), np.asarray(running_stats.std)
+        running_stats.mean = ((1.0 - momentum) * mean + momentum * mu).astype(
+            mean.dtype, copy=False)
+        running_stats.std = np.sqrt((1.0 - momentum) * std ** 2 + momentum * var).astype(
+            std.dtype, copy=False)
     inv = 1.0 / np.sqrt(var + epsilon)
     xhat = x.data - mu[:, None, None]
     xhat *= inv[:, None, None]

@@ -6,10 +6,11 @@ table over the four cells), nst (statistic-matching stylization with
 trade-off or two-style interpolation), nst-init (fresh stylization
 checkpoint).
 
-``nst`` runs in float32, the precision its checkpoint stores: the net is built
-from the checkpoint tensors cast to float32 and the images are read as
-float32, so every op of the forward computes in float32. All other commands,
-and all training, compute in float64.
+Every model command runs in float32, the precision the checkpoint stores:
+``train``, ``generate`` and ``eval`` through ``FontNet``, whose parameters are
+float32; ``nst`` builds its net from the checkpoint tensors cast to float32
+and reads its images as float32, so every op of the forward computes in
+float32.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric failure.
 """

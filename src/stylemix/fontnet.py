@@ -205,18 +205,29 @@ class FontNet:
 
     @classmethod
     def _build(cls, config: FontNetConfig, draw) -> "FontNet":
-        """The net with each random weight taken from ``draw(shape, std)``."""
+        """The net with each random weight taken from ``draw(shape, std)``.
+
+        Parameters and batch-norm buffers are float32, the precision the
+        checkpoint stores; each drawn weight is rounded to it once.
+        """
         std = config.init_std
         params = NetworkParams()
         buffers: dict = {}
 
+        def add(name, array):
+            params.add(name, np.asarray(array, dtype=np.float32))
+
+        def batch_norm(name, cout):
+            add(f"{name}.gamma", np.ones(cout))
+            add(f"{name}.beta", np.zeros(cout))
+            buffers[name] = ChannelStats(np.zeros(cout, dtype=np.float32),
+                                         np.ones(cout, dtype=np.float32))
+
         def conv_block(prefix, i, cin, cout, k, with_bn=True):
-            params.add(f"{prefix}.{i}.kernel", draw((cout, cin, k, k), std))
-            params.add(f"{prefix}.{i}.bias", np.zeros(cout))
+            add(f"{prefix}.{i}.kernel", draw((cout, cin, k, k), std))
+            add(f"{prefix}.{i}.bias", np.zeros(cout))
             if with_bn:
-                params.add(f"{prefix}.{i}.gamma", np.ones(cout))
-                params.add(f"{prefix}.{i}.beta", np.zeros(cout))
-                buffers[f"{prefix}.{i}"] = ChannelStats(np.zeros(cout), np.ones(cout))
+                batch_norm(f"{prefix}.{i}", cout)
 
         enc = config.encoder_channels
         for prefix in ("style_enc", "content_enc"):
@@ -227,7 +238,7 @@ class FontNet:
                 cin = cout
 
         code = config.code_dim
-        params.add("mixer.tensor", draw((code, code, code), std))
+        add("mixer.tensor", draw((code, code, code), std))
 
         dec = config.decoder_channels
         cin = code
@@ -235,16 +246,14 @@ class FontNet:
             if j >= 1:
                 cin += enc[config.depth - 1 - j]  # skip concat widens the input
             # deconv kernels are laid out (Cin, Cout, k, k)
-            params.add(f"decoder.{j}.kernel", draw((cin, cout, 3, 3), std))
-            params.add(f"decoder.{j}.bias", np.zeros(cout))
-            params.add(f"decoder.{j}.gamma", np.ones(cout))
-            params.add(f"decoder.{j}.beta", np.zeros(cout))
-            buffers[f"decoder.{j}"] = ChannelStats(np.zeros(cout), np.ones(cout))
+            add(f"decoder.{j}.kernel", draw((cin, cout, 3, 3), std))
+            add(f"decoder.{j}.bias", np.zeros(cout))
+            batch_norm(f"decoder.{j}", cout)
             cin = cout
         last = config.depth - 1
         cin = (dec[-1] if dec else code) + enc[0]
-        params.add(f"decoder.{last}.kernel", draw((cin, 1, 5, 5), std))
-        params.add(f"decoder.{last}.bias", np.zeros(1))
+        add(f"decoder.{last}.kernel", draw((cin, 1, 5, 5), std))
+        add(f"decoder.{last}.bias", np.zeros(1))
         return cls(config, params, buffers)
 
     # -- checkpoint state ----------------------------------------------------
@@ -261,14 +270,19 @@ class FontNet:
     @classmethod
     def from_state(cls, arrays: dict) -> "FontNet":
         config = read_config(FontNetConfig, arrays, "meta.font")
-        net = cls._build(config, lambda shape, std: np.empty(shape))  # overwritten below
+        net = cls._build(config, lambda shape, std: np.empty(shape, dtype=np.float32))
         check_state(net.state_arrays(), arrays, "meta.font")
         for name, tensor in net.params.items():
-            tensor.data = np.asarray(arrays[name], dtype=np.float64)
+            tensor.data = np.asarray(arrays[name], dtype=np.float32)
         for name, stats in net.buffers.items():
-            stats.mean = np.asarray(arrays[f"{name}.run_mean"], dtype=np.float64)
-            stats.std = np.asarray(arrays[f"{name}.run_std"], dtype=np.float64)
+            stats.mean = np.asarray(arrays[f"{name}.run_mean"], dtype=np.float32)
+            stats.std = np.asarray(arrays[f"{name}.run_std"], dtype=np.float32)
         return net
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, float32 as built; array inputs are cast to it."""
+        return self.params["mixer.tensor"].data.dtype
 
     # -- forward ops ---------------------------------------------------------
 
@@ -302,14 +316,14 @@ class FontNet:
 
     def style_encode(self, x, mode: str = "eval") -> Tensor:
         """Style code [B, code_dim] from channel-concatenated reference images."""
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
         self._check_ref_input(x, "style")
         code, _ = self._encode("style_enc", x, mode, keep_skips=False)
         return code
 
     def content_encode(self, x, mode: str = "eval"):
         """Content code [B, code_dim] plus per-block skip feature maps."""
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
         self._check_ref_input(x, "content")
         return self._encode("content_enc", x, mode, keep_skips=True)
 
@@ -373,8 +387,8 @@ class FontNet:
         B items. Any other rank, or style and content batches of different
         sizes, raise ShapeError.
         """
-        style = np.asarray(style_images, dtype=np.float64)
-        content = np.asarray(content_images, dtype=np.float64)
+        style = np.asarray(style_images, dtype=self.dtype)
+        content = np.asarray(content_images, dtype=self.dtype)
         if style.ndim != content.ndim or style.ndim not in (3, 4):
             raise ShapeError(
                 f"reference images must be [r, H, W] or [B, r, H, W] per role, got "

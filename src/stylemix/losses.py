@@ -90,7 +90,9 @@ def weighted_l1_loss(generated: Tensor, targets: np.ndarray) -> Tensor:
     """Sum over the batch of W_st * W_d * sum_pixels |generated - target|.
 
     Differentiable w.r.t. ``generated``; the weights depend only on the
-    targets and are treated as constants.
+    targets and are treated as constants. The weights are computed in float64
+    and, with the targets, cast to ``generated``'s dtype, so the loss and its
+    gradient stay in that dtype.
     """
     generated = as_tensor(generated)
     targets = np.asarray(targets, dtype=np.float64)
@@ -98,8 +100,10 @@ def weighted_l1_loss(generated: Tensor, targets: np.ndarray) -> Tensor:
         raise ShapeError(
             f"weighted_l1_loss: generated {generated.shape} vs targets {targets.shape}"
         )
-    weights = batch_weights(targets).combined
-    per_image = (generated - targets).abs().sum(axis=tuple(range(1, generated.ndim)))
+    dtype = generated.data.dtype
+    weights = batch_weights(targets).combined.astype(dtype)
+    per_image = (generated - targets.astype(dtype)).abs().sum(
+        axis=tuple(range(1, generated.ndim)))
     return (per_image * weights).sum()
 
 

@@ -1,10 +1,12 @@
 """End-to-end optimization, evaluation over the four cells, and checkpoints.
 
 Training iterates batch sampling -> forward generation -> weighted L1 ->
-backward -> gradient clipping -> Adam. With a fixed seed and single-threaded
-execution every run is bit-reproducible. Checkpoints serialize named tensors
-in 32-bit, the model's whole config among them as a byte record; resuming
-from the same file is bit-reproducible across loads.
+backward -> gradient clipping -> Adam. ``FontNet`` trains and evaluates in
+float32, its parameters' dtype: every forward, backward, clip and Adam step
+computes in it; ``train_nst_pair`` computes in float64. With a fixed seed and
+single-threaded execution every run is bit-reproducible. Checkpoints serialize
+named tensors in 32-bit, the model's whole config among them as a byte record,
+so a ``FontNet`` round-trips through one bit for bit.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from stylemix.nst import FeatureExtractor, LossWeights, NstNet, nst_objective
 
 CHECKPOINT_MAGIC = b"EMD1"
 CHECKPOINT_VERSION = 1
-ADAM_BLOCK = 16384  # elements per Adam block: two float64 scratch buffers of 128 KiB
-# items per evaluate() forward, set by memory: one forward of the default 64 px
-# net peaks at 10.0 MB traced for 3 items and 13.3 MB for 4
+ADAM_BLOCK = 16384  # elements per Adam block: two float32 scratch buffers of 64 KiB
+# items per evaluate() forward, set by memory: one float32 forward of the
+# default 64 px net peaks at 5.9 MiB traced for 3 items and 7.9 MiB for 4
 EVAL_BATCH = 3
 
 
@@ -132,14 +134,16 @@ class AdamState:
 def adam_step(params, state: AdamState) -> None:
     """Bias-corrected Adam update over every parameter's populated gradient.
 
-    The update streams each parameter in blocks of ``ADAM_BLOCK`` elements:
-    within a block it applies the textbook arithmetic in its usual order with
-    ``out=`` ufuncs on two block-sized scratch buffers, so it allocates no
-    parameter-sized temporary and reads ``p``, ``g``, ``m`` and ``v`` from
-    memory once. ``m`` and ``v`` are updated in place. The new values go into
-    one fresh array that ``p.data`` is then rebound to: tensors are immutable
-    after creation and ``p.data`` may be shared with a caller (``from_state``,
-    ``state_arrays()``), so it is never written in place.
+    The update runs in each parameter's dtype: its moments, scratch and new
+    values take that dtype. It streams each parameter in blocks of
+    ``ADAM_BLOCK`` elements: within a block it applies the textbook
+    arithmetic in its usual order with ``out=`` ufuncs on two block-sized
+    scratch buffers, so it allocates no parameter-sized temporary and reads
+    ``p``, ``g``, ``m`` and ``v`` from memory once. ``m`` and ``v`` are
+    updated in place. The new values go into one fresh array that ``p.data``
+    is then rebound to: tensors are immutable after creation and ``p.data``
+    may be shared with a caller (``from_state``, ``state_arrays()``), so it is
+    never written in place.
     """
     state.step_count += 1
     t = state.step_count
@@ -147,8 +151,7 @@ def adam_step(params, state: AdamState) -> None:
     correction1 = 1.0 - beta1 ** t
     correction2 = 1.0 - beta2 ** t
     largest = max((p.data.size for p in params.values()), default=0)
-    scratch_a = np.empty(min(largest, ADAM_BLOCK))
-    scratch_b = np.empty_like(scratch_a)
+    scratch_a = scratch_b = None
     for name, p in params.items():
         if p.grad is None:
             raise TrainingError(f"parameter {name!r} has no gradient for the Adam step")
@@ -156,13 +159,17 @@ def adam_step(params, state: AdamState) -> None:
             raise TrainingError(
                 f"parameter {name!r} has shape {p.shape} but its gradient {p.grad.shape}"
             )
+        dtype = p.data.dtype
+        if scratch_a is None or scratch_a.dtype != dtype:
+            scratch_a = np.empty(min(largest, ADAM_BLOCK), dtype=dtype)
+            scratch_b = np.empty_like(scratch_a)
         m = state.m.get(name)
         if m is None:
-            m = state.m[name] = np.zeros(p.shape)
-            state.v[name] = np.zeros(p.shape)
+            m = state.m[name] = np.zeros(p.shape, dtype=dtype)
+            state.v[name] = np.zeros(p.shape, dtype=dtype)
         m, v = m.reshape(-1), state.v[name].reshape(-1)  # views of the C-contiguous moments
         g, old = p.grad.reshape(-1), p.data.reshape(-1)
-        new = np.empty(p.shape)
+        new = np.empty(p.shape, dtype=dtype)
         flat = new.reshape(-1)
         for start in range(0, flat.size, ADAM_BLOCK):
             end = min(start + ADAM_BLOCK, flat.size)
@@ -227,8 +234,12 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
-        if self.steps < 0 or self.learning_rate <= 0 or self.batch_size < 1:
+        if self.steps < 0 or self.learning_rate <= 0:
             raise ValueError(f"invalid training configuration {self}")
+        if self.batch_size < 2:
+            # train-mode batch-norm at the 1x1 bottleneck sees zero variance in
+            # a batch of one, so the style encoder would get an all-zero gradient
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
 
 
 @dataclass
@@ -284,8 +295,7 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
             graph = Graph()
             with graph:
                 generated = net.forward_generate(
-                    Tensor(style_x), Tensor(content_x), mode="train",
-                    zero_skips=config.zero_skips,
+                    style_x, content_x, mode="train", zero_skips=config.zero_skips,
                 )
                 loss = weighted_l1_loss(generated, targets)
             loss_value = loss.item()

@@ -373,6 +373,32 @@ class TestBatchNorm:
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
+    def test_eval_mode_with_float32_stats_computes_in_float32(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(1.0, 3.0, size=(3, 16, 8, 8)).astype(np.float32)
+        gamma, beta = (rng.normal(1.0, 0.5, size=16).astype(np.float32),
+                       rng.normal(size=16).astype(np.float32))
+        stats = ChannelStats(mean=rng.normal(size=16).astype(np.float32),
+                             std=rng.uniform(0.2, 3.0, size=16).astype(np.float32))
+        inv = 1.0 / np.sqrt(stats.std ** 2 + 1e-5)
+        want = (gamma[:, None, None] * ((x - stats.mean[:, None, None]) * inv[:, None, None])
+                + beta[:, None, None])
+        got = ad.batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), mode="eval",
+                             running_stats=stats).data
+        assert want.dtype == got.dtype == np.float32
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("stats_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    def test_train_mode_running_stats_keep_their_dtype(self, stats_dtype, x_dtype):
+        stats = ChannelStats(mean=np.zeros(2, dtype=stats_dtype),
+                             std=np.ones(2, dtype=stats_dtype))
+        x = np.random.default_rng(9).normal(5.0, 1.0, size=(4, 2, 6, 6)).astype(x_dtype)
+        ad.batchnorm2d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                       running_stats=stats, momentum=0.1)
+        assert stats.mean.dtype == stats.std.dtype == stats_dtype
+        assert np.all(stats.mean > 0.3)
+
     def test_eval_mode_allocates_only_its_output(self):
         rng = np.random.default_rng(7)
         # planes above 8192 elements: numpy buffers broadcast ops on smaller ones (64 KiB)

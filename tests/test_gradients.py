@@ -1,7 +1,8 @@
 """Analytic gradients vs central finite differences for every primitive.
 
 Each op is checked over 20 random seeds on small shapes; the full typeface
-pipeline (micro configuration) is checked on sampled parameter coordinates.
+pipeline (micro configuration, cast to float64) is checked on sampled
+parameter coordinates, and its float32 analytic gradients against float64.
 """
 
 import numpy as np
@@ -263,12 +264,36 @@ def test_elementwise_composite_gradients(seed):
     check_gradients(make_loss, [x, shift], tol=1e-4)
 
 
+def _as_float64(net: FontNet) -> FontNet:
+    """``net`` with its float32 parameters and batch-norm buffers cast to float64."""
+    for tensor in net.params.values():
+        tensor.data = tensor.data.astype(np.float64)
+    for stats in net.buffers.values():
+        stats.mean, stats.std = stats.mean.astype(np.float64), stats.std.astype(np.float64)
+    return net
+
+
+def _pipeline_gradient(net: FontNet, style_x, content_x, targets) -> np.ndarray:
+    """All parameter gradients of one train-mode weighted L1, concatenated."""
+    graph = Graph()
+    with graph:
+        loss = weighted_l1_loss(net.forward_generate(style_x, content_x, mode="train"),
+                                targets)
+    graph.backward(loss)
+    grads = [t.grad.ravel() for t in net.params.values()]
+    net.params.zero_grad()
+    return np.concatenate(grads)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_full_typeface_pipeline_gradients(seed):
-    """Whole forward + weighted L1 on the micro network, sampled coordinates."""
+    """Whole forward + weighted L1 on the micro network, sampled coordinates.
+
+    Finite differences cannot resolve float32, so the check runs on the
+    network cast to float64."""
     rng = np.random.default_rng(2000 + seed)
     config = FontNetConfig(image_size=8, base_channels=2, ref_count=2)
-    net = FontNet.initialize(config, seed=seed)
+    net = _as_float64(FontNet.initialize(config, seed=seed))
     style_x = Tensor(rng.uniform(0.0, 1.0, size=(2, 2, 8, 8)))
     content_x = Tensor(rng.uniform(0.0, 1.0, size=(2, 2, 8, 8)))
     targets = rng.uniform(0.0, 1.0, size=(2, 1, 8, 8))
@@ -279,3 +304,22 @@ def test_full_typeface_pipeline_gradients(seed):
         return weighted_l1_loss(out, targets)
 
     check_gradients_sampled(make_loss, tensors, n_coords=30, rng=rng, tol=1e-3)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_float32_pipeline_gradients_match_float64(seed):
+    """The float32 network's analytic gradients are the float64 ones, to 1e-4.
+
+    Both nets hold the same float32-rounded weights and see the same
+    float32-rounded inputs, so only the compute precision differs."""
+    rng = np.random.default_rng(3000 + seed)
+    config = FontNetConfig(image_size=8, base_channels=2, ref_count=2)
+    style_x = rng.uniform(0.0, 1.0, size=(2, 2, 8, 8)).astype(np.float32)
+    content_x = rng.uniform(0.0, 1.0, size=(2, 2, 8, 8)).astype(np.float32)
+    targets = rng.uniform(0.0, 1.0, size=(2, 1, 8, 8))
+    net32 = FontNet.initialize(config, seed=seed)
+    net64 = _as_float64(FontNet.initialize(config, seed=seed))
+    g32 = _pipeline_gradient(net32, style_x, content_x, targets)
+    g64 = _pipeline_gradient(net64, style_x, content_x, targets)
+    assert g32.dtype == np.float32 and g64.dtype == np.float64
+    assert rel_error(g32, g64) <= 1e-4

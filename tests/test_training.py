@@ -114,21 +114,30 @@ def _many_small(rng):
 class TestBlockedAdam:
     @pytest.mark.parametrize("make", [_large, _transposed, _many_small])
     def test_bit_identical_to_reference(self, make):
+        self._check_against_reference(make, np.float64)
+
+    @pytest.mark.parametrize("make", [_large, _transposed, _many_small])
+    def test_float32_bit_identical_to_reference(self, make):
+        self._check_against_reference(make, np.float32)
+
+    @staticmethod
+    def _check_against_reference(make, dtype):
         rng = np.random.default_rng(11)
-        initial = make(rng)
+        initial = {n: a.astype(dtype) for n, a in make(rng).items()}
         blocked = {n: Tensor(a, requires_grad=True) for n, a in initial.items()}
         reference = {n: Tensor(a, requires_grad=True) for n, a in initial.items()}
         state, want = AdamState(learning_rate=1e-2), AdamState(learning_rate=1e-2)
         for _ in range(5):
             for name, a in initial.items():
-                grad = rng.normal(size=a.shape)
+                grad = rng.normal(size=a.shape).astype(dtype)
                 if not a.flags.c_contiguous:  # a transposed gradient too
-                    grad = rng.normal(size=a.T.shape).T
+                    grad = rng.normal(size=a.T.shape).astype(dtype).T
                 blocked[name].grad = grad
                 reference[name].grad = grad.copy()
             adam_step(blocked, state)
             reference_adam_step(reference, want)
             for name in initial:
+                assert blocked[name].data.dtype == state.m[name].dtype == dtype, name
                 assert np.array_equal(blocked[name].data, reference[name].data), name
                 assert np.array_equal(state.m[name], want.m[name]), name
                 assert np.array_equal(state.v[name], want.v[name]), name
@@ -287,16 +296,17 @@ class TestTrain:
             assert float(wall) >= 0.0
 
     def test_single_step_decreases_loss_on_one_triplet(self, corpus):
+        # a pool of one triplet (n_t=1): the batch of two holds it twice
         decreased = 0
         for seed in range(20):
-            config = TrainConfig(steps=1, learning_rate=1e-3, batch_size=1, n_t=1,
+            config = TrainConfig(steps=1, learning_rate=1e-3, batch_size=2, n_t=1,
                                  r=2, base_channels=4, seed=seed)
             net = FontNet.initialize(
                 FontNetConfig(image_size=16, base_channels=4, ref_count=2), seed=seed
             )
 
             def triplet_loss():
-                triplets = sample_training_batch(corpus, 1, 2, 1, seed=config.seed, step=0)
+                triplets = sample_training_batch(corpus, 1, 2, 2, seed=config.seed, step=0)
                 style_x, content_x, targets = stack_triplets(triplets)
                 out = net.forward_generate(Tensor(style_x), Tensor(content_x), mode="train")
                 return weighted_l1_loss(out, targets).item()
@@ -329,6 +339,45 @@ class TestTrain:
             return train(more, corpus, net=net).losses[0]
 
         assert resume_loss() == resume_loss()
+
+    @pytest.mark.parametrize("batch_size", [0, 1])
+    def test_batch_below_two_rejected(self, batch_size):
+        # batch-norm at the 1x1 bottleneck would zero the style encoder's gradient
+        with pytest.raises(ValueError, match="batch_size must be >= 2"):
+            TrainConfig(batch_size=batch_size)
+
+    def test_trains_in_float32(self, corpus, monkeypatch):
+        """Parameters, gradients, Adam moments and buffers all stay float32."""
+        grad_dtypes = set()
+
+        def recording_adam_step(params, state):
+            grad_dtypes.update(p.grad.dtype for p in params.values())
+            adam_step(params, state)
+
+        monkeypatch.setattr(training, "adam_step", recording_adam_step)
+        adam = AdamState()
+        net = train(TrainConfig(steps=2, seed=2, **MICRO_TRAIN), corpus, adam=adam).net
+        assert grad_dtypes == {np.dtype(np.float32)}
+        assert {t.data.dtype for t in net.params.values()} == {np.dtype(np.float32)}
+        assert set(adam.m) == set(adam.v) == set(net.params.names())
+        assert {a.dtype for a in [*adam.m.values(), *adam.v.values()]} == {
+            np.dtype(np.float32)}
+        assert {a.dtype for s in net.buffers.values() for a in (s.mean, s.std)} == {
+            np.dtype(np.float32)}
+        item = sample_training_batch(corpus, 1, 2, 2, seed=0)[0]
+        image = net.generate_from_refs(item.style_refs.images, item.content_refs.images)
+        assert image.dtype == np.float32
+
+    def test_checkpoint_round_trip_is_bit_exact(self, corpus, tmp_path):
+        net = train(TrainConfig(steps=2, seed=4, **MICRO_TRAIN), corpus).net
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, net.state_arrays())
+        want = net.state_arrays()
+        got = FontNet.from_state(load_checkpoint(path)).state_arrays()
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_nonfinite_loss_aborts_with_diagnostic(self, corpus):
         config = TrainConfig(steps=1, seed=3, **MICRO_TRAIN)
@@ -400,8 +449,8 @@ class TestEvaluate:
                           - np.mean(rows, axis=0)).max() <= 1e-12
 
     def test_default_cell_memory_ceiling(self):
-        """One 24-item cell of the default 64 px net: 10.3 MiB traced at 3 items per
-        forward; 4 items per forward would pass 12 MiB."""
+        """One 24-item cell of the default 64 px net, in float32: 5.9 MiB traced at
+        3 items per forward; 4 items per forward (7.9 MiB) would pass 7 MiB."""
         corpus = Corpus(CorpusConfig())
         items = build_eval_sets(corpus, r=4, seed=1)["d1"]
         net = FontNet.initialize(FontNetConfig())
@@ -412,7 +461,7 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert len(items) == 24
-        assert peak <= 12 << 20
+        assert peak <= 7 << 20
 
 
 class TestTrainNstPair:
