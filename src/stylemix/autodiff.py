@@ -6,8 +6,8 @@ promotion when they differ), and a Python number combined with a tensor takes
 that tensor's dtype, so ``0.5 * x`` stays float32 for a float32 ``x`` under
 numpy 1.x and 2.x alike. The buffers an op allocates take its input's dtype.
 There is no global precision mode: a model computes, trains and takes its
-gradients in the dtype of its parameters and inputs (``FontNet`` in float32,
-``NstNet`` training and the gradchecks in float64).
+gradients in the dtype of its parameters and inputs (``FontNet`` and ``NstNet``
+in float32, the gradchecks in float64).
 
 A forward pass records onto an explicit :class:`Graph` (used as a context
 manager); :meth:`Graph.backward` replays the tape in reverse and writes

@@ -7,10 +7,9 @@ trade-off or two-style interpolation), nst-init (fresh stylization
 checkpoint).
 
 Every model command runs in float32, the precision the checkpoint stores:
-``train``, ``generate`` and ``eval`` through ``FontNet``, whose parameters are
-float32; ``nst`` builds its net from the checkpoint tensors cast to float32
-and reads its images as float32, so every op of the forward computes in
-float32.
+``train``, ``generate`` and ``eval`` through ``FontNet`` and ``nst`` through
+``NstNet``, whose parameters are float32 as loaded; ``nst`` reads its images as
+float32, so every op of the forward computes in float32.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric failure.
 """
@@ -178,8 +177,7 @@ def _load_nst_image(path) -> np.ndarray:
 def _cmd_nst(args, parser) -> int:
     if not 0.0 <= args.alpha <= 1.0:
         parser.error(f"--alpha must lie in [0, 1], got {args.alpha}")
-    net = NstNet.from_state(
-        {name: a.astype(np.float32) for name, a in load_checkpoint(args.ckpt).items()})
+    net = NstNet.from_state(load_checkpoint(args.ckpt))
     style = Tensor(_load_nst_image(args.style)[None])
     content = Tensor(_load_nst_image(args.content)[None])
     if args.interp_style2:

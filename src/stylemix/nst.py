@@ -24,7 +24,6 @@ from stylemix.autodiff import (
     Tensor,
     as_tensor,
     conv2d,
-    float_array,
     fully_connected,
     global_avg_pool,
     leaky_relu,
@@ -148,13 +147,16 @@ def style_loss(f_gen_layers, f_sty_layers, epsilon: float = 0.0) -> Tensor:
             f"style_loss: {len(f_gen_layers)} generated layers vs "
             f"{len(f_sty_layers)} style layers"
         )
-    total = Tensor(0.0)
+    if not f_gen_layers:
+        raise ShapeError("style_loss needs at least one layer")
+    total = None  # the first term starts the sum, so it keeps the maps' dtype
     for f_gen, f_sty in zip(f_gen_layers, f_sty_layers):
         gen = channel_stats(f_gen, epsilon)
         sty = channel_stats(f_sty, epsilon)
         dm = gen.mean - sty.mean
         ds = gen.std - sty.std
-        total = total + (dm * dm).sum() + (ds * ds).sum()
+        total = (dm * dm).sum() if total is None else total + (dm * dm).sum()
+        total = total + (ds * ds).sum()
     return total
 
 
@@ -163,7 +165,7 @@ def tv_loss(image: Tensor) -> Tensor:
     image = as_tensor(image)
     if image.ndim != 4:
         raise ShapeError(f"tv_loss expects a [B,C,H,W] image, got {image.shape}")
-    total = Tensor(0.0)
+    total = Tensor(np.zeros((), dtype=image.data.dtype))
     if image.shape[2] >= 2:
         dh = image[:, :, 1:, :] - image[:, :, :-1, :]
         total = total + (dh * dh).sum()
@@ -266,12 +268,19 @@ class NstNet:
 
     @classmethod
     def _build(cls, config: NstConfig, draw) -> "NstNet":
-        """The net with each random weight taken from ``draw(shape, std)``."""
+        """The net with each random weight taken from ``draw(shape, std)``.
+
+        Parameters are float32, the precision the checkpoint stores; each
+        drawn weight is rounded to it once.
+        """
         params = NetworkParams()
 
+        def add(name, array):
+            params.add(name, np.asarray(array, dtype=np.float32))
+
         def conv(name, cin, cout, k):
-            params.add(f"{name}.kernel", draw((cout, cin, k, k), _he_std(cin, k)))
-            params.add(f"{name}.bias", np.zeros(cout))
+            add(f"{name}.kernel", draw((cout, cin, k, k), _he_std(cin, k)))
+            add(f"{name}.bias", np.zeros(cout))
 
         def res_block(name, c, k):
             conv(f"{name}.conv0", c, c, k)
@@ -287,11 +296,11 @@ class NstNet:
                 res_block(f"{prefix}.res{i}", cin, config.conv_plan[-1][0])
 
         c_mix = config.mix_channels
-        params.add("style_enc.fc.weight", draw((2 * c_mix, c_mix), np.sqrt(1.0 / c_mix)))
+        add("style_enc.fc.weight", draw((2 * c_mix, c_mix), np.sqrt(1.0 / c_mix)))
         # std head starts at 1 so the initial mixing is scale-preserving
         fc_b = np.zeros(2 * c_mix)
         fc_b[c_mix:] = 1.0
-        params.add("style_enc.fc.bias", fc_b)
+        add("style_enc.fc.bias", fc_b)
 
         for i in range(config.n_content_res):
             res_block(f"decoder.res{i}", c_mix, config.conv_plan[-1][0])
@@ -315,18 +324,23 @@ class NstNet:
 
     @classmethod
     def from_state(cls, arrays: dict) -> "NstNet":
-        """The net ``arrays`` describes; float32 weights stay float32, others become float64."""
+        """The net ``arrays`` describes, its weights cast to float32."""
         config = read_config(NstConfig, arrays, "meta.nst")
-        net = cls._build(config, lambda shape, std: np.empty(shape))  # overwritten below
+        net = cls._build(config, lambda shape, std: np.empty(shape, dtype=np.float32))
         check_state(net.state_arrays(), arrays, "meta.nst")
         for name, tensor in net.params.items():
-            tensor.data = float_array(arrays[name])
+            tensor.data = np.asarray(arrays[name], dtype=np.float32)
         return net
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, float32 as built; array inputs are cast to it."""
+        return self.params["decoder.out.kernel"].data.dtype
 
     # -- forward -------------------------------------------------------------
 
     def _check_image(self, x, role: str) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
         cfg = self.config
         if x.ndim != 4 or x.shape[1] != cfg.image_channels:
             raise ShapeError(
@@ -466,23 +480,29 @@ class FeatureExtractor:
         self._build(config, lambda shape, std: rng.normal(0.0, std, size=shape))
 
     def _build(self, config: ExtractorConfig, draw) -> None:
-        """Set the config and each stage kernel from ``draw(shape, std)``."""
+        """Set the config and each stage kernel from ``draw(shape, std)``, rounded to float32."""
         self.config = config
         self.weights: dict = {}
         cin = config.image_channels
         k = config.kernel
         for i, cout in enumerate(config.stage_channels):
-            self.weights[f"stage{i}.kernel"] = Tensor(draw((cout, cin, k, k), _he_std(cin, k)))
-            self.weights[f"stage{i}.bias"] = Tensor(np.zeros(cout))
+            kernel = draw((cout, cin, k, k), _he_std(cin, k))
+            self.weights[f"stage{i}.kernel"] = Tensor(np.asarray(kernel, dtype=np.float32))
+            self.weights[f"stage{i}.bias"] = Tensor(np.zeros(cout, dtype=np.float32))
             cin = cout
 
     @property
     def n_taps(self) -> int:
         return len(self.config.stage_channels)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The weights' dtype, float32 as built; array inputs are cast to it."""
+        return self.weights["stage0.kernel"].data.dtype
+
     def taps(self, image) -> list:
         """All stage outputs, shallowest first."""
-        out = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float64))
+        out = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=self.dtype))
         cfg = self.config
         results = []
         for i in range(self.n_taps):
@@ -502,11 +522,16 @@ class FeatureExtractor:
     def from_state(cls, arrays: dict) -> "FeatureExtractor":
         extractor = cls.__new__(cls)
         extractor._build(read_config(ExtractorConfig, arrays, "meta.extractor"),
-                         lambda shape, std: np.empty(shape))  # overwritten below
+                         lambda shape, std: np.empty(shape, dtype=np.float32))
         check_state(extractor.state_arrays(), arrays, "meta.extractor")
         for name in extractor.weights:
-            extractor.weights[name] = Tensor(np.asarray(arrays[name], dtype=np.float64))
+            extractor.weights[name] = Tensor(np.asarray(arrays[name], dtype=np.float32))
         return extractor
+
+
+def _constant(image):
+    """A Tensor input detached from the tape; an array is left for ``taps`` to cast."""
+    return image.detach() if isinstance(image, Tensor) else image
 
 
 def nst_objective(extractor: FeatureExtractor, generated: Tensor, content_img,
@@ -514,8 +539,8 @@ def nst_objective(extractor: FeatureExtractor, generated: Tensor, content_img,
                   stat_epsilon: float = STAT_EPSILON):
     """Total stylization objective and its (content, style, tv) parts."""
     gen_taps = extractor.taps(generated)
-    con_taps = extractor.taps(as_tensor(content_img).detach())
-    sty_taps = extractor.taps(as_tensor(style_img).detach())
+    con_taps = extractor.taps(_constant(content_img))
+    sty_taps = extractor.taps(_constant(style_img))
     lc = content_loss(gen_taps[-1], con_taps[-1])
     ls = style_loss(gen_taps, sty_taps, epsilon=stat_epsilon)
     ltv = tv_loss(generated)

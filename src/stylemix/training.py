@@ -1,12 +1,12 @@
 """End-to-end optimization, evaluation over the four cells, and checkpoints.
 
 Training iterates batch sampling -> forward generation -> weighted L1 ->
-backward -> gradient clipping -> Adam. ``FontNet`` trains and evaluates in
-float32, its parameters' dtype: every forward, backward, clip and Adam step
-computes in it; ``train_nst_pair`` computes in float64. With a fixed seed and
-single-threaded execution every run is bit-reproducible. Checkpoints serialize
-named tensors in 32-bit, the model's whole config among them as a byte record,
-so a ``FontNet`` round-trips through one bit for bit.
+backward -> gradient clipping -> Adam. ``FontNet`` (in ``train`` and
+``evaluate``) and ``NstNet`` (in ``train_nst_pair``) compute in float32, their
+parameters' dtype: every forward, backward, clip and Adam step runs in it.
+With a fixed seed and single-threaded execution every run is bit-reproducible.
+Checkpoints serialize named tensors in 32-bit, the model's whole config among
+them as a byte record, so every model round-trips through one bit for bit.
 """
 
 from __future__ import annotations
@@ -72,12 +72,15 @@ def save_checkpoint(path, arrays: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back into float64 arrays, validating the layout."""
+    """Read a checkpoint back into float32 arrays, validating the layout.
+
+    Each tensor is its own writable array, not a view of the file's bytes.
+    """
     path = Path(path)
-    data = path.read_bytes()
+    data = memoryview(path.read_bytes())  # slices are views: each tensor is copied once
     pos = 0
 
-    def need(count: int, what: str) -> bytes:
+    def need(count: int, what: str) -> memoryview:
         nonlocal pos
         if pos + count > len(data):
             raise CheckpointError(
@@ -96,14 +99,14 @@ def load_checkpoint(path) -> dict:
     arrays: dict = {}
     for index in range(count):
         (name_len,) = struct.unpack("<H", need(2, f"tensor {index} name length"))
-        name = need(name_len, f"tensor {index} name").decode("utf-8")
+        name = str(need(name_len, f"tensor {index} name"), "utf-8")
         if name in arrays:
             raise CheckpointError(f"{path}: duplicate tensor name {name!r} at byte {pos}")
         (rank,) = struct.unpack("<B", need(1, f"{name!r} rank"))
         shape = struct.unpack(f"<{rank}I", need(4 * rank, f"{name!r} extents"))
         size = int(np.prod(shape, dtype=np.int64)) if rank else 1
         raw = need(4 * size, f"{name!r} values")
-        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
     if pos != len(data):
         raise CheckpointError(f"{path}: {len(data) - pos} trailing bytes after last tensor")
     return arrays
@@ -373,10 +376,17 @@ def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_
     the content features and style statistics behind them, are computed
     once per call and reused; when they are taped (say, with
     ``optimize_prefix="style_enc."``) they are recomputed every step.
-    Returns the per-step total-loss trace.
+    The images are cast to ``net.dtype``, so the whole step computes in the
+    parameters' dtype. Returns the per-step total-loss trace.
     """
-    style = Tensor(np.asarray(style_img, dtype=np.float64))
-    content = Tensor(np.asarray(content_img, dtype=np.float64))
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not learning_rate > 0:
+        raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
+    if not clip_norm > 0:
+        raise ValueError(f"clip_norm must be > 0, got {clip_norm}")
+    style = Tensor(np.asarray(style_img, dtype=net.dtype))
+    content = Tensor(np.asarray(content_img, dtype=net.dtype))
     subset = {name: p for name, p in net.params.items()
               if name.startswith(optimize_prefix)}
     if not subset:

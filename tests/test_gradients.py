@@ -1,8 +1,9 @@
 """Analytic gradients vs central finite differences for every primitive.
 
 Each op is checked over 20 random seeds on small shapes; the full typeface
-pipeline (micro configuration, cast to float64) is checked on sampled
-parameter coordinates, and its float32 analytic gradients against float64.
+pipeline and the stylization net under its objective (micro configurations,
+cast to float64) are checked on sampled parameter coordinates, and their
+float32 analytic gradients against float64.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from stylemix import autodiff as ad
 from stylemix.autodiff import Graph, Tensor
 from stylemix.fontnet import FontNet, FontNetConfig
 from stylemix.losses import weighted_l1_loss
+from stylemix.nst import ExtractorConfig, FeatureExtractor, NstConfig, NstNet, nst_objective
 
 SEEDS = range(20)
 
@@ -321,5 +323,60 @@ def test_float32_pipeline_gradients_match_float64(seed):
     net64 = _as_float64(FontNet.initialize(config, seed=seed))
     g32 = _pipeline_gradient(net32, style_x, content_x, targets)
     g64 = _pipeline_gradient(net64, style_x, content_x, targets)
+    assert g32.dtype == np.float32 and g64.dtype == np.float64
+    assert rel_error(g32, g64) <= 1e-4
+
+
+NST_MICRO = NstConfig(conv_plan=((3, 1, 4), (3, 2, 8)), n_content_res=1)
+NST_MICRO_EXTRACTOR = ExtractorConfig(stage_channels=(4, 8))
+
+
+def _nst_micro(seed: int, dtype) -> tuple:
+    """The micro stylization net and 2-stage extractor, its float32 weights cast to ``dtype``."""
+    net = NstNet.initialize(NST_MICRO, seed=seed)
+    extractor = FeatureExtractor(NST_MICRO_EXTRACTOR, seed=seed)
+    for tensor in [*net.params.values(), *extractor.weights.values()]:
+        tensor.data = tensor.data.astype(dtype)
+    return net, extractor
+
+
+def _nst_loss(net: NstNet, extractor: FeatureExtractor, style, content) -> Tensor:
+    return nst_objective(extractor, net.forward(style, content), content, style)[0]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nst_objective_decoder_gradients(seed):
+    """Whole stylization forward + objective on the micro net, sampled decoder coordinates.
+
+    Finite differences cannot resolve float32, so the check runs on the net
+    and extractor cast to float64."""
+    rng = np.random.default_rng(4000 + seed)
+    net, extractor = _nst_micro(seed, np.float64)
+    style = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 8, 8)))
+    content = Tensor(rng.uniform(0.0, 1.0, size=(1, 3, 8, 8)))
+    decoder = [t for name, t in net.params.items() if name.startswith("decoder.")]
+
+    check_gradients_sampled(lambda: _nst_loss(net, extractor, style, content), decoder,
+                            n_coords=30, rng=rng, tol=1e-3)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_float32_nst_gradients_match_float64(seed):
+    """The float32 stylization net's analytic gradients are the float64 ones, to 1e-4.
+
+    Both nets and extractors hold the same float32-rounded weights and see
+    the same float32-rounded images, so only the compute precision differs."""
+    rng = np.random.default_rng(5000 + seed)
+    style = rng.uniform(0.0, 1.0, size=(1, 3, 8, 8)).astype(np.float32)
+    content = rng.uniform(0.0, 1.0, size=(1, 3, 8, 8)).astype(np.float32)
+    grads = []
+    for dtype in (np.float32, np.float64):
+        net, extractor = _nst_micro(seed, dtype)
+        graph = Graph()
+        with graph:
+            loss = _nst_loss(net, extractor, style.astype(dtype), content.astype(dtype))
+        graph.backward(loss)
+        grads.append(np.concatenate([t.grad.ravel() for t in net.params.values()]))
+    g32, g64 = grads
     assert g32.dtype == np.float32 and g64.dtype == np.float64
     assert rel_error(g32, g64) <= 1e-4

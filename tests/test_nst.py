@@ -232,6 +232,10 @@ class TestStyleLoss:
         with pytest.raises(ShapeError, match="layers"):
             style_loss([layer], [layer, layer])
 
+    def test_rejects_empty_layer_lists(self):
+        with pytest.raises(ShapeError, match="at least one layer"):
+            style_loss([], [])
+
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients(self, seed):
         rng = np.random.default_rng(400 + seed)
@@ -264,6 +268,17 @@ class TestTvLoss:
             return tv_loss(image)
 
         check_gradients(make_loss, [image], tol=1e-4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_losses_keep_the_maps_dtype(dtype):
+    """No float64 constant promotes a float32 loss (and through it every gradient)."""
+    rng = np.random.default_rng(21)
+    a, b, c = (Tensor(rng.normal(size=(1, 2, 4, 4)).astype(dtype)) for _ in range(3))
+    assert content_loss(a, b).data.dtype == dtype
+    assert style_loss([a, b], [c, a], epsilon=EPS).data.dtype == dtype
+    assert tv_loss(a).data.dtype == dtype
+    assert tv_loss(Tensor(np.ones((1, 1, 1, 1), dtype=dtype))).data.dtype == dtype
 
 
 class TestTotalLoss:
@@ -349,6 +364,9 @@ class TestNstNet:
         state = NstNet.initialize(CUSTOM_NST, seed=2).state_arrays()
         rebuilt = NstNet.from_state(_through_file(state, tmp_path, through_file))
         assert rebuilt.config == CUSTOM_NST
+        for name, tensor in rebuilt.params.items():  # float32 weights are bit-exact in the file
+            assert tensor.data.dtype == np.float32, name
+            assert tensor.data.tobytes() == state[name].tobytes(), name
 
     def test_forward_at_256_px_holds_no_throwaway_copies(self, nst_net):
         rng = np.random.default_rng(18)
@@ -375,19 +393,29 @@ class TestNstNet:
 
 @pytest.fixture(scope="module")
 def nets_by_dtype():
-    """The same checkpoint-precision weights as a float32 and a float64 net."""
-    state = {name: np.asarray(a, dtype=np.float32)
-             for name, a in NstNet.initialize(NstConfig(), seed=0).state_arrays().items()}
-    return {dtype: NstNet.from_state({name: a.astype(dtype) for name, a in state.items()})
-            for dtype in (np.float32, np.float64)}
+    """The same checkpoint-precision weights as a float32 net and a copy cast to float64."""
+    state = NstNet.initialize(NstConfig(), seed=0).state_arrays()
+    net64 = NstNet.from_state(state)
+    for tensor in net64.params.values():
+        tensor.data = tensor.data.astype(np.float64)
+    return {np.float32: NstNet.from_state(state), np.float64: net64}
 
 
 class TestFloat32Inference:
     """Float32 weights and images run the whole NST forward in float32."""
 
     def test_from_state_keeps_float32_weights(self, nets_by_dtype):
-        for dtype, net in nets_by_dtype.items():
-            assert {t.data.dtype for _, t in net.params.items()} == {np.dtype(dtype)}
+        """Float32 and float64 arrays of the same weights load as one float32 net."""
+        net = nets_by_dtype[np.float32]
+        wide = {name: np.asarray(a, dtype=np.float64)
+                for name, a in net.state_arrays().items()}
+        for loaded in (NstNet.from_state(net.state_arrays()), NstNet.from_state(wide)):
+            assert loaded.dtype == np.float32
+            for (name, a), b in zip(loaded.params.items(), net.params.values()):
+                assert a.data.dtype == np.float32, name
+                assert a.data.tobytes() == b.data.tobytes(), name
+        assert {t.data.dtype for t in nets_by_dtype[np.float64].params.values()} == {
+            np.dtype(np.float64)}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_mixing_ops_keep_dtype(self, nets_by_dtype, dtype):
@@ -507,6 +535,17 @@ class TestFeatureExtractor:
     def test_weights_are_frozen(self):
         extractor = FeatureExtractor(seed=0)
         assert all(not t.requires_grad for t in extractor.weights.values())
+
+    def test_weights_and_taps_are_float32(self):
+        extractor = FeatureExtractor(seed=0)
+        wide = {name: np.asarray(a, dtype=np.float64)
+                for name, a in extractor.state_arrays().items()}
+        loaded = FeatureExtractor.from_state(wide)
+        for built in (extractor, loaded):
+            assert built.dtype == np.float32
+            assert {t.data.dtype for t in built.weights.values()} == {np.dtype(np.float32)}
+        image = np.random.default_rng(19).uniform(size=(1, 3, 16, 16))  # float64
+        assert {t.data.dtype for t in loaded.taps(image)} == {np.dtype(np.float32)}
 
     def test_state_round_trip(self):
         extractor = FeatureExtractor(seed=3)

@@ -241,6 +241,20 @@ class TestCheckpointFormat:
         back = load_checkpoint(path)["w"]
         assert np.array_equal(back, arrays["w"].astype(np.float32).astype(np.float64))
 
+    def test_loads_writable_float32_arrays(self, tmp_path):
+        """Each tensor comes back as its own writable float32 array, the file's precision."""
+        rng = np.random.default_rng(3)
+        arrays = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=5).astype(np.float32)}
+        path = tmp_path / "f.ckpt"
+        save_checkpoint(path, arrays)
+        loaded = load_checkpoint(path)
+        for name, array in loaded.items():
+            assert array.dtype == np.float32 and array.flags.writeable, name
+            assert np.array_equal(array, arrays[name].astype(np.float32)), name
+        assert not np.shares_memory(loaded["a"], loaded["b"])
+        loaded["a"][0, 0] = np.nan
+        assert not np.isnan(load_checkpoint(path)["a"]).any()
+
     def test_corrupted_length_field_is_diagnosed(self, tmp_path):
         path = tmp_path / "d.ckpt"
         save_checkpoint(path, {"w": np.zeros(3)})
@@ -551,8 +565,48 @@ class TestTrainNstPair:
                        optimize_prefix=prefix)
         assert counts == {"style_encode": calls, "content_encode": calls}
 
+    def test_trains_in_float32(self, monkeypatch):
+        """Parameters, the gradients handed to Adam and Adam's moments stay float32."""
+        style, content = self._pair(9)
+        net = NstNet.initialize(NstConfig(), seed=0)
+        grad_dtypes, states = set(), []
+
+        def recording_adam_step(params, state):
+            grad_dtypes.update(p.grad.dtype for p in params.values())
+            states.append(state)
+            adam_step(params, state)
+
+        monkeypatch.setattr(training, "adam_step", recording_adam_step)
+        train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=2)
+        assert len(states) == 2 and states[0] is states[1]
+        assert grad_dtypes == {np.dtype(np.float32)}
+        assert {t.data.dtype for t in net.params.values()} == {np.dtype(np.float32)}
+        adam = states[0]
+        assert set(adam.m) == set(adam.v) == {
+            name for name in net.params.names() if name.startswith("decoder.")}
+        assert {a.dtype for a in [*adam.m.values(), *adam.v.values()]} == {
+            np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("name, value", [
+        ("steps", -3),
+        ("learning_rate", 0.0),
+        ("learning_rate", -1e-3),
+        ("clip_norm", 0.0),
+        ("clip_norm", -1.0),
+    ])
+    def test_rejects_configs_that_learn_nothing(self, name, value):
+        """Zero or negative rates and clip norms would leave the net unchanged or ascend."""
+        style, content = self._pair(10)
+        net = NstNet.initialize(NstConfig(), seed=0)
+        with pytest.raises(ValueError, match=name):
+            train_nst_pair(net, FeatureExtractor(seed=0), style, content,
+                           **{"steps": 3, name: value})
+
     def test_freezing_keeps_trace_and_updates_bit_identical(self):
-        """Same trace and parameters as the loop that tapes every parameter."""
+        """Same trace and parameters as the loop that tapes every parameter.
+
+        The reference loop feeds the images as float32 Tensors: a float64
+        Tensor would promote the float32 net's forward to float64."""
         style, content = self._pair(7)
         extractor = FeatureExtractor(seed=0)
         frozen = NstNet.initialize(NstConfig(), seed=4)
@@ -561,12 +615,13 @@ class TestTrainNstPair:
         taped = NstNet.initialize(NstConfig(), seed=4)
         subset = {n: p for n, p in taped.params.items() if n.startswith("decoder.")}
         adam = AdamState(learning_rate=1e-3)
+        style32, content32 = (Tensor(a.astype(np.float32)) for a in (style, content))
         want = []
         for _ in range(3):
             graph = Graph()
             with graph:
-                loss, _ = nst_objective(extractor, taped.forward(Tensor(style), Tensor(content)),
-                                        content, style)
+                loss, _ = nst_objective(extractor, taped.forward(style32, content32),
+                                        content32, style32)
             graph.backward(loss)
             assert taped.params["style_enc.conv0.kernel"].grad is not None
             clip_gradients(subset, 10.0)
