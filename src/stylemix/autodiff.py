@@ -16,17 +16,15 @@ op produced (parameters and inputs). Op outputs never get a ``.grad``: each
 intermediate gradient is dropped as soon as its op's VJP has consumed it.
 Without an active graph, ops run forward-only.
 
-Every convolution-family product is a GEMM against unrolled columns:
-``_im2col`` unrolls a zero-padded [B,C,H,W] input into columns
-[C*kh*kw, B*oh*ow], the batch folded into the columns, and ``_col2im`` is its
-exact adjoint, summing such columns back into [B,C,H,W]. deconv2d's input
-gradient and both kernel gradients are im2col then one 2-D GEMM; conv2d's
-input gradient and deconv2d forward are one GEMM then col2im. conv2d forward
-never holds the whole column matrix or a padded copy of its input:
-``_im2col_matmul`` pads per block, copying only the input rows a block reads
-into one zero-bordered slab, unrolls that block's columns (at most
-``IM2COL_BLOCK`` elements) into one scratch buffer and writes the block's
-output columns with its own GEMM.
+Every convolution-family product is a GEMM against im2col columns: the
+zero-padded windows of a [B,C,H,W] input unrolled into [C*kh*kw, B*oh*ow],
+the batch folded into the columns. The gathers (conv2d forward, deconv2d's
+input gradient and both kernel gradients) never hold those columns whole or
+a padded copy of the input: ``_column_blocks`` streams them through one
+scratch buffer of at most ``IM2COL_BLOCK`` elements, padding per block in one
+zero-bordered slab, and each block meets its own GEMM. The scatters (conv2d's
+input gradient and deconv2d forward) are one GEMM, then ``_col2im``, the
+unroll's exact adjoint, sums the columns back into [B,C,H,W].
 
 Tensors are treated as immutable after creation except for their ``grad``
 buffer. A graph must stay confined to one thread; independent graphs over
@@ -492,53 +490,37 @@ def sigmoid(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-# elements, not bytes, of conv2d's forward im2col scratch: 1 MiB in float64,
-# 512 KiB in float32
+# elements, not bytes, of the im2col scratch of _column_blocks: 1 MiB in
+# float64, 512 KiB in float32
 IM2COL_BLOCK = 1 << 17
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple:
-    """Read-only view [C,kh,kw,B,oh,ow] of the windows of [B,C,H,W], zero-padded."""
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Read-only view [C,kh,kw,B,oh,ow] of the windows of [B,C,H,W]."""
     b, c, h, w = x.shape
-    if padding:
-        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding:-padding, padding:-padding] = x
-        x = xp
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
     sb, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, shape=(c, kh, kw, b, oh, ow),
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(c, kh, kw, b, (h - kh) // stride + 1, (w - kw) // stride + 1),
         strides=(sc, sh, sw, sb, stride * sh, stride * sw), writeable=False)
-    return windows, oh, ow
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple:
-    """Unroll [B,C,H,W], zero-padded on each side, into columns [C*kh*kw, B*oh*ow]."""
-    windows, oh, ow = _windows(x, kh, kw, stride, padding)
-    b, c = x.shape[:2]
-    return windows.reshape(c * kh * kw, b * oh * ow), oh, ow
+def _column_blocks(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, dtype):
+    """Yield ``(first, block)``: im2col columns ``first:first + n`` of [B,C,H,W],
+    zero-padded on each side, as a [C*kh*kw, n] block in ``dtype``.
 
-
-def _im2col_matmul(left: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
-                   padding: int) -> tuple:
-    """``left @ _im2col(x)[0]`` without the whole column matrix or padded input.
-
-    The columns are unrolled a block at a time into one scratch buffer of at
-    most IM2COL_BLOCK elements: whole batch items while one item fits (so each
-    GEMM is as wide as it can be), else whole output rows of one item, at
-    least one row. One GEMM per block writes its slice of the output. With
-    padding, each block's input rows are first copied into one zero-bordered
-    slab: its side columns are never written, and its rows above or below the
-    input are zeroed per block.
+    Each block is unrolled into one scratch buffer of at most IM2COL_BLOCK
+    elements, which the next block overwrites: whole batch items while one
+    item fits (so each GEMM is as wide as it can be), else whole output rows
+    of one item, at least one row. With padding, each block's input rows are
+    first copied into one zero-bordered slab: its side columns are never
+    written, and its rows above or below the input are zeroed per block.
     """
     b, c, h, w = x.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     k = c * kh * kw
-    dtype = np.result_type(left, x)
     if not b:
-        return np.empty((left.shape[0], 0), dtype=dtype), oh, ow
+        return
     items = IM2COL_BLOCK // max(k * oh * ow, 1)
     if items:
         blocks = [(i, min(i + items, b), 0, oh) for i in range(0, b, items)]
@@ -550,8 +532,6 @@ def _im2col_matmul(left: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: in
     if padding:
         slab = np.zeros((i1 - i0, c, (r1 - r0 - 1) * stride + kh, w + 2 * padding),
                         dtype=x.dtype)
-    out = np.empty((left.shape[0], b * oh * ow), dtype=dtype)
-    start = 0
     for i0, i1, r0, r1 in blocks:
         top = r0 * stride - padding  # input row of the block's first padded row
         span = (r1 - r0 - 1) * stride + kh
@@ -564,18 +544,39 @@ def _im2col_matmul(left: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: in
             src[:, :, lo:hi, padding:padding + w] = x[i0:i1, :, top + lo:top + hi]
         else:
             src = x[i0:i1, :, top:top + span]
-        windows, _, _ = _windows(src, kh, kw, stride, 0)
+        windows = _windows(src, kh, kw, stride)
         n = (i1 - i0) * (r1 - r0) * ow
         cols = scratch[:k * n].reshape(windows.shape)
         cols[...] = windows
-        np.matmul(left, cols.reshape(k, n), out=out[:, start:start + n])
-        start += n
+        yield (i0 * oh + r0) * ow, cols.reshape(k, n)
+
+
+def _im2col_matmul(left: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
+                   padding: int) -> tuple:
+    """``(left @ im2col(x), oh, ow)``, one GEMM per block of _column_blocks."""
+    b, _, h, w = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    dtype = np.result_type(left, x)
+    out = np.empty((left.shape[0], b * oh * ow), dtype=dtype)
+    for start, block in _column_blocks(x, kh, kw, stride, padding, dtype):
+        np.matmul(left, block, out=out[:, start:start + block.shape[1]])
     return out, oh, ow
+
+
+def _kernel_grad(rows: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
+                 padding: int) -> np.ndarray:
+    """``rows @ im2col(x).T``, summed over the blocks of _column_blocks."""
+    dtype = np.result_type(rows, x)
+    grad = np.zeros((rows.shape[0], x.shape[1] * kh * kw), dtype=dtype)
+    for start, block in _column_blocks(x, kh, kw, stride, padding, dtype):
+        grad += rows[:, start:start + block.shape[1]] @ block.T
+    return grad
 
 
 def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, stride: int,
             padding: int) -> np.ndarray:
-    """Adjoint of _im2col: sum columns back into a [B,C,H,W] array of ``shape``."""
+    """Adjoint of the im2col unroll: sum columns back into a [B,C,H,W] array of ``shape``."""
     b, c, h, w = shape
     hp, wp = h + 2 * padding, w + 2 * padding
     oh = (hp - kh) // stride + 1
@@ -632,8 +633,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         if needs[0]:
             gx = _col2im(wmat.T @ grows, x.shape, kh, kw, stride, padding)
         if needs[1]:
-            cols, _, _ = _im2col(x.data, kh, kw, stride, padding)
-            gw = (grows @ cols.T).reshape(w.shape)
+            gw = _kernel_grad(grows, x.data, kh, kw, stride, padding).reshape(w.shape)
         if needs[2]:
             gb = grows.sum(axis=1)
         return gx, gw, gb
@@ -675,12 +675,11 @@ def deconv2d(x, w, b, stride: int = 1, padding: int = 0, output_padding: int = 0
 
     def vjp(g, needs):
         gx = gw = gb = None
-        if needs[0] or needs[1]:
-            cols, _, _ = _im2col(g, kh, kw, stride, padding)
         if needs[0]:
-            gx = _unrows(wmat @ cols, x.shape[0], x.shape[2], x.shape[3])
+            gx = _unrows(_im2col_matmul(wmat, g, kh, kw, stride, padding)[0],
+                         x.shape[0], x.shape[2], x.shape[3])
         if needs[1]:
-            gw = (xrows @ cols.T).reshape(w.shape)
+            gw = _kernel_grad(xrows, g, kh, kw, stride, padding).reshape(w.shape)
         if needs[2]:
             gb = g.sum(axis=(0, 2, 3))
         return gx, gw, gb

@@ -184,7 +184,8 @@ def _cmd_nst(args, parser) -> int:
         style2 = Tensor(_load_nst_image(args.interp_style2)[None])
         out = net.forward_interpolate(style, style2, content, args.alpha)
     else:
-        out = net.forward_tradeoff(style, content, args.alpha)
+        # trade-off: interpolate from the content's own statistics to the style's
+        out = net.forward_interpolate(content, style, content, args.alpha)
     netpbm.write_ppm(args.out, np.clip(out.data[0], 0.0, 1.0))
     print(f"wrote {args.out}")
     return EXIT_OK

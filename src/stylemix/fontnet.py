@@ -65,6 +65,12 @@ class FontNetConfig:
             raise ValueError(f"base_channels must be >= 1, got {self.base_channels}")
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ValueError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValueError(f"bn_momentum must lie in [0, 1], got {self.bn_momentum}")
+        if not self.bn_epsilon > 0:
+            raise ValueError(f"bn_epsilon must be > 0, got {self.bn_epsilon}")
+        if not self.init_std > 0:
+            raise ValueError(f"init_std must be > 0, got {self.init_std}")
 
     @property
     def spatial_sizes(self) -> tuple:

@@ -237,6 +237,8 @@ class NstConfig:
             raise ValueError(f"image_channels must be >= 1, got {self.image_channels}")
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ValueError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
+        if not self.stat_epsilon > 0:
+            raise ValueError(f"stat_epsilon must be > 0, got {self.stat_epsilon}")
 
     @property
     def mix_channels(self) -> int:
@@ -418,16 +420,9 @@ class NstNet:
         f, sizes = self.content_encode(content_img)
         return statistic_match(f, stats, self.config.stat_epsilon), sizes
 
-    def generate(self, content_img, stats: ChannelStats) -> Tensor:
-        return self.decode(*self.mix_features(content_img, stats))
-
     def forward(self, style_img, content_img) -> Tensor:
         """Stylize the content image with statistics from the style image."""
-        return self.generate(content_img, self.style_encode(style_img))
-
-    def forward_tradeoff(self, style_img, content_img, alpha: float) -> Tensor:
-        """Blend the content image's own statistics against the style's."""
-        return self.forward_interpolate(content_img, style_img, content_img, alpha)
+        return self.decode(*self.mix_features(content_img, self.style_encode(style_img)))
 
     def forward_interpolate(self, style1_img, style2_img, content_img,
                             alpha: float) -> Tensor:

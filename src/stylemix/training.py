@@ -237,8 +237,17 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
-        if self.steps < 0 or self.learning_rate <= 0:
-            raise ValueError(f"invalid training configuration {self}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
+        if self.start_step < 0 or self.eval_every < 0:
+            raise ValueError(
+                f"start_step and eval_every must be >= 0, got {self.start_step} "
+                f"and {self.eval_every}"
+            )
         if self.batch_size < 2:
             # train-mode batch-norm at the 1x1 bottleneck sees zero variance in
             # a batch of one, so the style encoder would get an all-zero gradient

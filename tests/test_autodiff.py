@@ -53,6 +53,15 @@ def deconv2d_bruteforce(x, w, b, stride, padding, output_padding):
     return out + b[None, :, None, None]
 
 
+def im2col(x, kh, kw, stride, padding):
+    """Reference unroll of [B,C,H,W], zero-padded, into columns [C*kh*kw, B*oh*ow]."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]  # [B, C, oh, ow, kh, kw]
+    b, c, oh, ow = windows.shape[:4]
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * oh * ow), oh, ow
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         y = ad.conv2d(Tensor([[[[5.0]]]]), Tensor([[[[1.0]]]]), Tensor([0.0]))
@@ -152,7 +161,7 @@ class TestConvKernels:
     def test_col2im_is_the_adjoint_of_im2col(self, shape, kh, kw, stride, padding):
         rng = np.random.default_rng(sum(shape) + kh + kw)
         x = rng.normal(size=shape)
-        cols, _, _ = ad._im2col(x, kh, kw, stride, padding)
+        cols, _, _ = im2col(x, kh, kw, stride, padding)
         c = rng.normal(size=cols.shape)
         lhs = float((cols * c).sum())
         rhs = float((x * ad._col2im(c, shape, kh, kw, stride, padding)).sum())
@@ -228,7 +237,7 @@ class TestConvKernels:
         x = rng.normal(size=x_shape)
         wmat = rng.normal(size=(cout, x_shape[1] * k * k))
         got, oh, ow = ad._im2col_matmul(wmat, x, k, k, stride, padding)
-        cols, want_oh, want_ow = ad._im2col(x, k, k, stride, padding)
+        cols, want_oh, want_ow = im2col(x, k, k, stride, padding)
         assert (oh, ow) == (want_oh, want_ow)
         assert np.array_equal(got, wmat @ cols)
 
@@ -243,7 +252,7 @@ class TestConvKernels:
         x = rng.normal(size=(5, 3, 9, 8))
         wmat = rng.normal(size=(4, 27))
         got, _, _ = ad._im2col_matmul(wmat, x, 3, 3, 2, 1)  # 27 * 4 = 108 per row, 5 rows
-        assert np.abs(got - wmat @ ad._im2col(x, 3, 3, 2, 1)[0]).max() <= 1e-12
+        assert np.abs(got - wmat @ im2col(x, 3, 3, 2, 1)[0]).max() <= 1e-12
 
     def test_conv2d_forward_never_holds_the_column_matrix(self):
         rng = np.random.default_rng(5)
@@ -269,7 +278,7 @@ class TestConvKernels:
         x = rng.normal(size=x_shape)
         wmat = rng.normal(size=(4, x_shape[1] * k * k))
         got, _, _ = ad._im2col_matmul(wmat, x, k, k, stride, padding)
-        assert np.array_equal(got, wmat @ ad._im2col(x, k, k, stride, padding)[0])
+        assert np.array_equal(got, wmat @ im2col(x, k, k, stride, padding)[0])
 
     @pytest.mark.parametrize("x_shape,k,stride,padding,block", [
         ((5, 3, 9, 8), 3, 2, 1, 10),  # one row per block
@@ -280,14 +289,14 @@ class TestConvKernels:
     ])
     def test_im2col_matmul_small_blocks_bitwise(self, monkeypatch, x_shape, k, stride,
                                                 padding, block):
-        """Each row block's GEMM equals one GEMM over the same columns of _im2col(x)."""
+        """Each row block's GEMM equals one GEMM over the same columns of im2col(x)."""
         monkeypatch.setattr(ad, "IM2COL_BLOCK", block)
         rng = np.random.default_rng(block + sum(x_shape))
         x = rng.normal(size=x_shape)
         c = x_shape[1] * k * k
         wmat = rng.normal(size=(4, c))
         got, oh, ow = ad._im2col_matmul(wmat, x, k, k, stride, padding)
-        cols = ad._im2col(x, k, k, stride, padding)[0]
+        cols = im2col(x, k, k, stride, padding)[0]
         rows = max(block // (c * ow), 1)
         assert block < c * oh * ow  # the split is by rows of one item
         starts = [(i * oh + r) * ow for i in range(x_shape[0]) for r in range(0, oh, rows)]
@@ -308,6 +317,74 @@ class TestConvKernels:
         finally:
             tracemalloc.stop()
         assert peak <= out.data.nbytes + (2 << 20)  # the padded input alone is 17 MB
+
+    @pytest.mark.parametrize("block", [
+        1200,  # two whole items per block, the last block holds one
+        350,  # one item does not fit: three whole rows per block
+        10,  # one row exceeds the block: one row per block
+    ])
+    def test_streamed_gradients_equal_one_gemm(self, monkeypatch, block):
+        """Each gather in a VJP equals one GEMM against the whole column matrix.
+
+        conv2d maps a [5,3,8,8] to b [5,4,4,4] and deconv2d maps b back to the
+        shape of a, both k3 s2 p1 with the kernel w [4,3,3,3]; as the upstream
+        gradient, each op gets the other's input. Every unroll has 27 * 16
+        elements per item.
+        """
+        monkeypatch.setattr(ad, "IM2COL_BLOCK", block)
+        rng = np.random.default_rng(block)
+        a, b, w = (rng.normal(size=s) for s in ((5, 3, 8, 8), (5, 4, 4, 4), (4, 3, 3, 3)))
+
+        def grads(op, x, g, **kwargs):
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            graph = Graph()
+            with graph:
+                out = op(xt, wt, Tensor(np.zeros(3 if op is ad.deconv2d else 4)),
+                         stride=2, padding=1, **kwargs)
+                loss = (out * Tensor(g)).sum()
+            graph.backward(loss)
+            return xt.grad, wt.grad
+
+        def rows(v):
+            return v.transpose(1, 0, 2, 3).reshape(v.shape[1], -1)
+
+        _, conv_gw = grads(ad.conv2d, a, b)
+        deconv_gx, deconv_gw = grads(ad.deconv2d, b, a, output_padding=1)
+        cols_a = im2col(a, 3, 3, 2, 1)[0]
+        assert np.abs(conv_gw - (rows(b) @ cols_a.T).reshape(w.shape)).max() <= 1e-12
+        assert np.abs(deconv_gw - (rows(b) @ cols_a.T).reshape(w.shape)).max() <= 1e-12
+        want_gx = (w.reshape(4, 27) @ cols_a).reshape(4, 5, 4, 4).transpose(1, 0, 2, 3)
+        assert np.abs(deconv_gx - want_gx).max() <= 1e-12
+
+    @staticmethod
+    def _backward_peak(make_loss):
+        """tracemalloc peak of the backward pass alone, the forward taped beforehand."""
+        graph = Graph()
+        with graph:
+            loss = make_loss()
+        tracemalloc.start()
+        try:
+            graph.backward(loss)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_conv2d_kernel_gradient_never_holds_the_column_matrix(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(1, 32, 256, 256)).astype(np.float32))
+        w = Tensor(rng.normal(size=(16, 32, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(16, np.float32))
+        peak = self._backward_peak(lambda: ad.conv2d(x, w, b, padding=1).sum())
+        assert peak <= 8 << 20  # the column matrix alone is 75.5 MB
+
+    def test_deconv2d_backward_never_holds_the_column_matrix(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(1, 32, 128, 128)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(32, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(16, np.float32))
+        peak = self._backward_peak(lambda: ad.deconv2d(
+            x, w, b, stride=2, padding=1, output_padding=1).sum())
+        assert peak <= 10 << 20  # the 4 MB upstream gradient unrolls into 9.4 MB
 
 
 class TestBatchNorm:
@@ -789,7 +866,7 @@ class TestDtypeRule:
         wmat = rng.normal(size=(4, 27)).astype(np.float32)
         got, _, _ = ad._im2col_matmul(wmat, x, 3, 3, 2, 1)
         assert got.dtype == np.float32
-        assert np.array_equal(got, wmat @ ad._im2col(x, 3, 3, 2, 1)[0])
+        assert np.array_equal(got, wmat @ im2col(x, 3, 3, 2, 1)[0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fully_connected_keeps_dtype(self, dtype):

@@ -97,6 +97,14 @@ class TestTrainCommand:
         assert rc == 3
         assert "exceeds" in capsys.readouterr().err
 
+    def test_nan_learning_rate_exits_with_data_error_and_writes_nothing(self, corpus_dir,
+                                                                        tmp_path, capsys):
+        out = tmp_path / "nan.ckpt"
+        assert run("train", "--corpus", str(corpus_dir), "--r", "2", "--nt", "10",
+                   "--steps", "1", "--lr", "nan", "--out", str(out)) == 3
+        assert "learning_rate" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_corpus_exits_with_data_error(self, tmp_path):
         assert run("train", "--corpus", str(tmp_path / "nowhere"), "--steps", "1",
                    "--out", str(tmp_path / "x.ckpt")) == 3
@@ -280,8 +288,10 @@ class TestNstCommand:
         assert run("nst", "--style", str(style), "--content", str(content),
                    "--ckpt", str(nst_ckpt), "--alpha", "0.5", "--out", str(out)) == 0
         net = NstNet.from_state(load_checkpoint(nst_ckpt))
-        images = [Tensor(np.stack([netpbm.read_image(p)] * 3)[None]) for p in (style, content)]
-        want = netpbm.quantize(np.clip(net.forward_tradeoff(*images, 0.5).data[0], 0.0, 1.0))
+        style_t, content_t = (Tensor(np.stack([netpbm.read_image(p)] * 3)[None])
+                              for p in (style, content))
+        mixed = net.forward_interpolate(content_t, style_t, content_t, 0.5)
+        want = netpbm.quantize(np.clip(mixed.data[0], 0.0, 1.0))
         got = np.round(netpbm.read_image(out) * 255).astype(np.uint8)
         assert written == [np.float32]
         assert np.abs(got.astype(int) - want.astype(int)).max() <= 1

@@ -51,6 +51,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="leaky_slope"):
             FontNetConfig(leaky_slope=slope)
 
+    @pytest.mark.parametrize("name, value", [
+        ("bn_momentum", 2.0),
+        ("bn_momentum", -0.1),
+        ("bn_momentum", float("nan")),
+        ("bn_epsilon", 0.0),
+        ("bn_epsilon", -1.0),
+        ("bn_epsilon", float("nan")),
+        ("init_std", -1.0),
+        ("init_std", float("nan")),
+    ])
+    def test_rejects_values_the_code_cannot_use(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FontNetConfig(**{name: value})
+
     def test_mixer_tensor_is_cubic_in_code_dim(self):
         config = FontNetConfig(image_size=16, base_channels=4, ref_count=2)
         net = FontNet.initialize(config)

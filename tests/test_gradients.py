@@ -103,6 +103,37 @@ def test_deconv2d_gradients_batched_nonsquare(case):
     check_gradients(make_loss, [x, w, b], tol=1e-4)
 
 
+# (conv2d input size, stride, padding): each conv2d output, and each deconv2d
+# input, is [3, 2, 6, 5], so every unroll has 18 * 30 = 540 elements per item
+BLOCKED_CASES = [((8, 7), 1, 0), ((6, 5), 1, 1), ((13, 11), 2, 0), ((12, 10), 2, 1)]
+
+
+@pytest.mark.parametrize("block", [
+    1200,  # two whole items per block, the last block holds one
+    350,  # one item does not fit: three whole rows per block
+    10,  # one row exceeds the block: one row per block
+])
+@pytest.mark.parametrize("case", BLOCKED_CASES)
+def test_conv_family_gradients_across_column_blocks(monkeypatch, case, block):
+    """Kernel gradients and deconv2d's input gradient summed over several blocks."""
+    monkeypatch.setattr(ad, "IM2COL_BLOCK", block)
+    (h, w_), stride, padding = case
+    rng = np.random.default_rng(block + sum(case[0]) + 10 * stride + padding)
+    x = Tensor(rng.normal(size=(3, 2, h, w_)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    y = Tensor(rng.normal(size=(3, 2, 6, 5)), requires_grad=True)
+    kwargs = dict(stride=stride, padding=padding)
+    opad = (h + 2 * padding - 3) % stride  # deconv2d of y restores the h x w_ input
+    proj_conv = _proj(rng, (3, 2, 6, 5))
+    proj_deconv = _proj(rng, (3, 2, h, w_))
+
+    check_gradients(lambda: (ad.conv2d(x, w, b, **kwargs) * proj_conv).sum(),
+                    [x, w, b], tol=1e-4)
+    check_gradients(lambda: (ad.deconv2d(y, w, b, output_padding=opad, **kwargs)
+                             * proj_deconv).sum(), [y, w, b], tol=1e-4)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batchnorm_train_gradients(seed):
     rng = np.random.default_rng(200 + seed)

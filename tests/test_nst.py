@@ -374,7 +374,7 @@ class TestNstNet:
         content = rng.uniform(size=(1, 3, 256, 256))
         tracemalloc.start()
         try:
-            nst_net.forward_tradeoff(style, content, 0.7)
+            nst_net.forward_interpolate(content, style, content, 0.7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -385,7 +385,8 @@ class TestNstNet:
         style = Tensor(rng.uniform(size=(1, 3, 24, 24)))
         content = Tensor(rng.uniform(size=(1, 3, 24, 24)))
         alphas = np.linspace(0.0, 1.0, 21)
-        outputs = [nst_net.forward_tradeoff(style, content, float(a)).data for a in alphas]
+        outputs = [nst_net.forward_interpolate(content, style, content, float(a)).data
+                   for a in alphas]
         assert all(np.isfinite(o).all() for o in outputs)
         jumps = [np.abs(b - a).max() for a, b in zip(outputs[:-1], outputs[1:])]
         assert max(jumps) <= 5.0 * np.median(jumps) + 1e-9
@@ -439,7 +440,7 @@ class TestFloat32Inference:
             style, style2, content = (Tensor(im.astype(dtype)) for im in images)
             net = nets_by_dtype[dtype]
             if path == "tradeoff":
-                return net.forward_tradeoff(style, content, 0.6).data
+                return net.forward_interpolate(content, style, content, 0.6).data
             return net.forward_interpolate(style, style2, content, 0.4).data
 
         got, want = run(np.float32), run(np.float64)
@@ -455,7 +456,7 @@ class TestFloat32Inference:
         content = Tensor(rng.uniform(size=(1, 3, 256, 256)).astype(np.float32))
         tracemalloc.start()
         try:
-            nets_by_dtype[np.float32].forward_tradeoff(style, content, 0.7)
+            nets_by_dtype[np.float32].forward_interpolate(content, style, content, 0.7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -482,6 +483,12 @@ class TestNstConfigValidation:
     def test_rejects_leaky_slope_outside_unit_interval(self, slope):
         with pytest.raises(ValueError, match="leaky_slope"):
             NstConfig(leaky_slope=slope)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+    def test_rejects_stat_epsilon_not_above_zero(self, epsilon):
+        """Zero or negative fails only at the first forward; NaN never fails."""
+        with pytest.raises(ValueError, match="stat_epsilon"):
+            NstConfig(stat_epsilon=epsilon)
 
     @pytest.mark.parametrize("meta", [
         [3, 3, 1],

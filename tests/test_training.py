@@ -360,6 +360,21 @@ class TestTrain:
         with pytest.raises(ValueError, match="batch_size must be >= 2"):
             TrainConfig(batch_size=batch_size)
 
+    @pytest.mark.parametrize("name, value", [
+        ("steps", -1),
+        ("learning_rate", float("nan")),
+        ("learning_rate", 0.0),
+        ("clip_norm", float("nan")),
+        ("clip_norm", 0.0),
+        ("clip_norm", -1.0),
+        ("start_step", -5),
+        ("eval_every", -1),
+    ])
+    def test_rejects_values_the_code_cannot_use(self, name, value):
+        """A NaN rate writes NaN weights, a zero clip norm moves none, a negative one ascends."""
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
     def test_trains_in_float32(self, corpus, monkeypatch):
         """Parameters, gradients, Adam moments and buffers all stay float32."""
         grad_dtypes = set()
