@@ -18,13 +18,16 @@ Without an active graph, ops run forward-only.
 
 Every convolution-family product is a GEMM against im2col columns: the
 zero-padded windows of a [B,C,H,W] input unrolled into [C*kh*kw, B*oh*ow],
-the batch folded into the columns. The gathers (conv2d forward, deconv2d's
-input gradient and both kernel gradients) never hold those columns whole or
-a padded copy of the input: ``_column_blocks`` streams them through one
-scratch buffer of at most ``IM2COL_BLOCK`` elements, padding per block in one
-zero-bordered slab, and each block meets its own GEMM. The scatters (conv2d's
-input gradient and deconv2d forward) are one GEMM, then ``_col2im``, the
-unroll's exact adjoint, sums the columns back into [B,C,H,W].
+the batch folded into the columns. The gathers (conv2d forward, conv2d's
+input gradient at stride 1, deconv2d's input gradient and both kernel
+gradients) never hold those columns whole or a padded copy of the input:
+``_column_blocks`` streams them through one scratch buffer of at most
+``IM2COL_BLOCK`` elements, padding per block in one zero-bordered slab, and
+each block meets its own GEMM. A stride-1 conv2d's input gradient is itself
+such a conv, of the output gradient with the flipped kernel. The scatters
+(conv2d's input gradient at stride 2 or more, and deconv2d forward) are one
+GEMM, then ``_col2im``, the unroll's exact adjoint, sums the columns back
+into [B,C,H,W].
 
 Tensors are treated as immutable after creation except for their ``grad``
 buffer. A graph must stay confined to one thread; independent graphs over
@@ -504,9 +507,16 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
         strides=(sc, sh, sw, sb, stride * sh, stride * sw), writeable=False)
 
 
-def _column_blocks(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, dtype):
+def _pair(padding) -> tuple:
+    """``padding`` per axis as ``(ph, pw)``; an int pads both axes alike."""
+    return (padding, padding) if np.ndim(padding) == 0 else tuple(padding)
+
+
+def _column_blocks(x: np.ndarray, kh: int, kw: int, stride: int, padding, dtype):
     """Yield ``(first, block)``: im2col columns ``first:first + n`` of [B,C,H,W],
-    zero-padded on each side, as a [C*kh*kw, n] block in ``dtype``.
+    padded by ``padding`` = ``(ph, pw)`` (or one int) on each side, as a
+    [C*kh*kw, n] block in ``dtype``. A negative padding crops the input by
+    that many rows or columns on each side instead.
 
     Each block is unrolled into one scratch buffer of at most IM2COL_BLOCK
     elements, which the next block overwrites: whole batch items while one
@@ -515,9 +525,14 @@ def _column_blocks(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, d
     first copied into one zero-bordered slab: its side columns are never
     written, and its rows above or below the input are zeroed per block.
     """
+    ph, pw = _pair(padding)
+    if ph < 0 or pw < 0:
+        ch, cw = max(-ph, 0), max(-pw, 0)
+        x = x[:, :, ch:x.shape[2] - ch, cw:x.shape[3] - cw]
+        ph, pw = max(ph, 0), max(pw, 0)
     b, c, h, w = x.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh = (h + 2 * ph - kh) // stride + 1
+    ow = (w + 2 * pw - kw) // stride + 1
     k = c * kh * kw
     if not b:
         return
@@ -529,19 +544,19 @@ def _column_blocks(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, d
         blocks = [(i, i + 1, r, min(r + rows, oh)) for i in range(b) for r in range(0, oh, rows)]
     i0, i1, r0, r1 = blocks[0]  # the first block is the largest
     scratch = np.empty(k * (i1 - i0) * (r1 - r0) * ow, dtype=dtype)
-    if padding:
-        slab = np.zeros((i1 - i0, c, (r1 - r0 - 1) * stride + kh, w + 2 * padding),
-                        dtype=x.dtype)
+    padded = ph or pw
+    if padded:
+        slab = np.zeros((i1 - i0, c, (r1 - r0 - 1) * stride + kh, w + 2 * pw), dtype=x.dtype)
     for i0, i1, r0, r1 in blocks:
-        top = r0 * stride - padding  # input row of the block's first padded row
+        top = r0 * stride - ph  # input row of the block's first padded row
         span = (r1 - r0 - 1) * stride + kh
-        if padding:
+        if padded:
             src = slab[:i1 - i0, :, :span]
             lo = min(max(-top, 0), span)
             hi = min(max(h - top, lo), span)
             src[:, :, :lo] = 0.0
             src[:, :, hi:] = 0.0
-            src[:, :, lo:hi, padding:padding + w] = x[i0:i1, :, top + lo:top + hi]
+            src[:, :, lo:hi, pw:pw + w] = x[i0:i1, :, top + lo:top + hi]
         else:
             src = x[i0:i1, :, top:top + span]
         windows = _windows(src, kh, kw, stride)
@@ -552,11 +567,12 @@ def _column_blocks(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, d
 
 
 def _im2col_matmul(left: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
-                   padding: int) -> tuple:
+                   padding) -> tuple:
     """``(left @ im2col(x), oh, ow)``, one GEMM per block of _column_blocks."""
     b, _, h, w = x.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    ph, pw = _pair(padding)
+    oh = (h + 2 * ph - kh) // stride + 1
+    ow = (w + 2 * pw - kw) // stride + 1
     dtype = np.result_type(left, x)
     out = np.empty((left.shape[0], b * oh * ow), dtype=dtype)
     for start, block in _column_blocks(x, kh, kw, stride, padding, dtype):
@@ -630,7 +646,14 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     def vjp(g, needs):
         gx = gw = gb = None
         grows = _rows(g)
-        if needs[0]:
+        if needs[0] and stride == 1:
+            # a stride-1 conv's input gradient is the conv of g with the
+            # flipped kernel, channels swapped, padded by k - 1 - padding
+            flipped = wmat.reshape(w.shape)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gx = _unrows(_im2col_matmul(flipped.reshape(x.shape[1], -1), g, kh, kw, 1,
+                                        (kh - 1 - padding, kw - 1 - padding))[0],
+                         x.shape[0], x.shape[2], x.shape[3])
+        elif needs[0]:
             gx = _col2im(wmat.T @ grows, x.shape, kh, kw, stride, padding)
         if needs[1]:
             gw = _kernel_grad(grows, x.data, kh, kw, stride, padding).reshape(w.shape)
@@ -700,7 +723,13 @@ def upsample_nearest(x, factor: int) -> Tensor:
     out = Tensor(blocks.reshape(b, c, h * factor, w * factor))
 
     def vjp(g, needs):
-        return (g.reshape(b, c, h, factor, w, factor).sum(axis=(3, 5)),)
+        # one copy of a strided phase, then in-place adds of the others
+        gx = g[:, :, ::factor, ::factor].copy()
+        for u in range(factor):
+            for v in range(factor):
+                if u or v:
+                    gx += g[:, :, u::factor, v::factor]
+        return (gx,)
 
     return _record(out, (x,), vjp)
 

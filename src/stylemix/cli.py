@@ -32,6 +32,7 @@ from stylemix.training import (
     CheckpointError,
     TrainConfig,
     TrainingError,
+    check_finite,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -112,7 +113,9 @@ def _cmd_train(args) -> int:
     config = TrainConfig(steps=args.steps, learning_rate=args.lr,
                          n_t=args.nt, r=args.r, seed=args.seed)
     result = train(config, corpus, log_path=str(args.out) + ".log")
-    save_checkpoint(args.out, result.net.state_arrays())
+    arrays = result.net.state_arrays()
+    check_finite(arrays)  # an overflowing last update would save a broken net
+    save_checkpoint(args.out, arrays)
     final = result.losses[-1] if result.losses else float("nan")
     print(f"trained {args.steps} steps, final loss {final:.6g}, checkpoint {args.out}")
     return EXIT_OK

@@ -252,6 +252,11 @@ class NstConfig:
         return factor
 
 
+def _crop(x: Tensor, h: int, w: int) -> Tensor:
+    """``x[:, :, :h, :w]``, taping no crop when ``x`` is already ``h`` x ``w``."""
+    return x if x.shape[2:] == (h, w) else x[:, :, :h, :w]
+
+
 def _he_std(cin: int, k: int) -> float:
     return float(np.sqrt(2.0 / (cin * k * k)))
 
@@ -412,7 +417,7 @@ class NstNet:
             h, w = sizes[len(sizes) - 1 - i]
             # no name holds the upsampled map, so without a tape it is freed
             # as soon as the conv returns, before relu allocates
-            out = relu(self._conv(f"decoder.up{i}", upsample_nearest(out, 2)[:, :, :h, :w]))
+            out = relu(self._conv(f"decoder.up{i}", _crop(upsample_nearest(out, 2), h, w)))
         return self._conv("decoder.out", out)
 
     def mix_features(self, content_img, stats: ChannelStats):

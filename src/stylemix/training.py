@@ -11,6 +11,7 @@ them as a byte record, so every model round-trips through one bit for bit.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import time
@@ -69,6 +70,16 @@ def save_checkpoint(path, arrays: dict) -> None:
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def check_finite(arrays: dict) -> None:
+    """Raise :class:`CheckpointError` naming the first tensor that holds NaN
+    or inf once stored in float32 (a value beyond float32's range included)."""
+    for name, array in arrays.items():
+        with np.errstate(over="ignore"):  # the overflow is what is reported
+            values = np.asarray(array).astype(np.float32, copy=False)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"tensor {name!r} holds non-finite values in float32")
 
 
 def load_checkpoint(path) -> dict:
@@ -239,8 +250,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.learning_rate > 0 or not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
         if self.start_step < 0 or self.eval_every < 0:
@@ -390,8 +401,8 @@ def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if not learning_rate > 0:
-        raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
+    if not learning_rate > 0 or not math.isfinite(learning_rate):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
     if not clip_norm > 0:
         raise ValueError(f"clip_norm must be > 0, got {clip_norm}")
     style = Tensor(np.asarray(style_img, dtype=net.dtype))

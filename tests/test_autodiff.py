@@ -386,6 +386,30 @@ class TestConvKernels:
             x, w, b, stride=2, padding=1, output_padding=1).sum())
         assert peak <= 10 << 20  # the 4 MB upstream gradient unrolls into 9.4 MB
 
+    def test_conv2d_input_gradient_never_holds_the_column_matrix(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(1, 32, 256, 256)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 32, 3, 3)).astype(np.float32))
+        b = Tensor(np.zeros(16, np.float32))
+        peak = self._backward_peak(lambda: ad.conv2d(x, w, b, padding=1).sum())
+        assert peak <= 32 << 20  # the scattered [288, 65536] column matrix alone is 75.5 MB
+
+    @pytest.mark.parametrize("kernel, padding", [((3, 3), 1), ((2, 3), 0), ((3, 2), 4)])
+    def test_stride1_conv2d_backward_never_scatters(self, monkeypatch, kernel, padding):
+        def scatter(*args):
+            raise AssertionError("a stride-1 conv2d gradient went through _col2im")
+
+        monkeypatch.setattr(ad, "_col2im", scatter)
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, *kernel)), requires_grad=True)
+        b = Tensor(np.zeros(4), requires_grad=True)
+        graph = Graph()
+        with graph:
+            loss = ad.conv2d(x, w, b, padding=padding).sum()
+        graph.backward(loss)
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
 
 class TestBatchNorm:
     def test_constant_channel_maps_to_zero(self):
@@ -624,6 +648,18 @@ class TestUpsampleAndPool:
             tracemalloc.stop()
         assert np.array_equal(out.data, np.repeat(np.repeat(x, factor, axis=2), factor, axis=3))
         assert peak <= out.data.nbytes + (64 << 10)
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_upsample_gradient_sums_each_block(self, factor):
+        rng = np.random.default_rng(20 + factor)
+        x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        g = rng.normal(size=(2, 3, 4 * factor, 5 * factor))
+        graph = Graph()
+        with graph:
+            loss = (ad.upsample_nearest(x, factor) * Tensor(g)).sum()
+        graph.backward(loss)
+        want = g.reshape(2, 3, 4, factor, 5, factor).sum(axis=(3, 5))
+        assert np.abs(x.grad - want).max() <= 1e-12
 
     def test_upsample_rejects_bad_factor(self):
         with pytest.raises(ValueError, match="factor"):

@@ -105,6 +105,25 @@ class TestTrainCommand:
         assert "learning_rate" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_infinite_learning_rate_exits_with_data_error_and_writes_nothing(
+            self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "inf.ckpt"
+        assert run("train", "--corpus", str(corpus_dir), "--r", "2", "--nt", "10",
+                   "--steps", "1", "--lr", "inf", "--out", str(out)) == 3
+        assert "learning_rate" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_update_exits_with_data_error_and_saves_no_net(
+            self, corpus_dir, tmp_path, capsys):
+        """1e300 is a finite float64 rate, but the float32 Adam update overflows."""
+        out = tmp_path / "big.ckpt"
+        assert run("train", "--corpus", str(corpus_dir), "--r", "2", "--nt", "10",
+                   "--steps", "1", "--lr", "1e300", "--out", str(out)) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["big.ckpt.log"]
+
     def test_missing_corpus_exits_with_data_error(self, tmp_path):
         assert run("train", "--corpus", str(tmp_path / "nowhere"), "--steps", "1",
                    "--out", str(tmp_path / "x.ckpt")) == 3

@@ -134,6 +134,72 @@ def test_conv_family_gradients_across_column_blocks(monkeypatch, case, block):
                              * proj_deconv).sum(), [y, w, b], tol=1e-4)
 
 
+# (batch, kh, kw, padding): a square and a non-square kernel at padding 0,
+# k - 1, k and k + 1; from padding k on an axis, the stride-1 input gradient
+# (a conv of the output gradient with the flipped kernel) crops instead of pads
+STRIDE1_CASES = ([(2, 3, 3, p) for p in (0, 2, 3, 4)]
+                 + [(3, 2, 3, p) for p in (0, 1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("case", STRIDE1_CASES)
+def test_stride1_conv2d_gradients_at_every_padding(case):
+    bsz, kh, kw, padding = case
+    rng = np.random.default_rng(200 + 10 * kh + padding)
+    x = Tensor(rng.normal(size=(bsz, 2, 5, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, kh, kw)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    proj = _proj(rng, ad.conv2d(x, w, b, padding=padding).shape)
+
+    def make_loss():
+        return (ad.conv2d(x, w, b, padding=padding) * proj).sum()
+
+    check_gradients(make_loss, [x, w, b], tol=1e-4)
+
+
+@pytest.mark.parametrize("block", [
+    1200,  # one whole item per block
+    350,  # one item does not fit: two or three whole rows per block
+    10,  # one row exceeds the block: one row per block
+])
+@pytest.mark.parametrize("case", STRIDE1_CASES)
+def test_stride1_conv2d_input_gradient_equals_brute_force(monkeypatch, case, block):
+    """The streamed input gradient spreads each output gradient over its window."""
+    monkeypatch.setattr(ad, "IM2COL_BLOCK", block)
+    bsz, kh, kw, padding = case
+    h, w_ = 7, 6
+    rng = np.random.default_rng(300 + block + 10 * kh + padding)
+    x = Tensor(rng.normal(size=(bsz, 2, h, w_)), requires_grad=True)
+    w = rng.normal(size=(3, 2, kh, kw))
+    graph = Graph()
+    with graph:
+        y = ad.conv2d(x, Tensor(w), Tensor(np.zeros(3)), padding=padding)
+        g = rng.normal(size=y.shape)
+        loss = (y * Tensor(g)).sum()
+    graph.backward(loss)
+    want = np.zeros((bsz, 2, h + 2 * padding, w_ + 2 * padding))
+    for i in range(y.shape[2]):
+        for j in range(y.shape[3]):
+            want[:, :, i:i + kh, j:j + kw] += np.einsum("bo,ocuv->bcuv", g[:, :, i, j], w)
+    want = want[:, :, padding:padding + h, padding:padding + w_]
+    assert np.abs(x.grad - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_upsample_gradients_with_the_odd_size_crop(factor, seed):
+    """Nearest upsampling alone, and cropped by one row and column as
+    ``NstNet.decode`` crops an odd size."""
+    rng = np.random.default_rng(970 + 10 * factor + seed)
+    a = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
+    h, w_ = 3 * factor, 4 * factor
+    proj = _proj(rng, (2, 2, h, w_))
+    proj_crop = _proj(rng, (2, 2, h - 1, w_ - 1))
+
+    check_gradients(lambda: (ad.upsample_nearest(a, factor) * proj).sum(), [a], tol=1e-4)
+    check_gradients(lambda: (ad.upsample_nearest(a, factor)[:, :, :h - 1, :w_ - 1]
+                             * proj_crop).sum(), [a], tol=1e-4)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batchnorm_train_gradients(seed):
     rng = np.random.default_rng(200 + seed)

@@ -10,7 +10,7 @@ import pytest
 from gradcheck import check_gradients
 
 from stylemix import netpbm
-from stylemix.autodiff import ChannelStats, ShapeError, Tensor
+from stylemix.autodiff import ChannelStats, Graph, ShapeError, Tensor
 from stylemix.nst import (
     ExtractorConfig,
     FeatureExtractor,
@@ -318,6 +318,26 @@ class TestNstNet:
         content = Tensor(rng.uniform(size=(1, 3, 33, 37)))
         style = Tensor(rng.uniform(size=(1, 3, 21, 19)))
         assert nst_net.forward(style, content).shape == (1, 3, 33, 37)
+
+    def test_decode_tapes_no_crop_at_even_sizes(self, nst_net):
+        rng = np.random.default_rng(12)
+        image = Tensor(rng.uniform(size=(1, 3, 32, 32)).astype(np.float32))
+        mixed, sizes = nst_net.mix_features(image, nst_net.style_encode(image))
+        graph = Graph()
+        with graph:
+            nst_net.decode(mixed, sizes)
+        ops = {node.vjp.__qualname__.split(".")[0] for node in graph._nodes}
+        assert "upsample_nearest" in ops and "take" not in ops
+
+    @pytest.mark.parametrize("px", [64, 65])
+    def test_decode_equals_the_always_cropping_decoder(self, nst_net, monkeypatch, px):
+        """Bitwise the output of a decoder that crops every upsampled map."""
+        rng = np.random.default_rng(px)
+        style = Tensor(rng.uniform(size=(1, 3, px, px)).astype(np.float32))
+        content = Tensor(rng.uniform(size=(1, 3, px, px)).astype(np.float32))
+        got = nst_net.forward(style, content).data
+        monkeypatch.setattr("stylemix.nst._crop", lambda x, h, w: x[:, :, :h, :w])
+        assert np.array_equal(got, nst_net.forward(style, content).data)
 
     def test_deterministic(self, nst_net):
         rng = np.random.default_rng(11)

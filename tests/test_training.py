@@ -20,6 +20,7 @@ from stylemix.training import (
     TrainConfig,
     TrainingError,
     adam_step,
+    check_finite,
     clip_gradients,
     evaluate,
     load_checkpoint,
@@ -296,6 +297,17 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+    def test_check_finite_names_a_tensor_that_is_not_finite_in_float32(self, value):
+        """1e300 is finite in float64 but overflows the float32 file."""
+        arrays = {"fine": np.ones(3), "bad": np.array([[0.0, value]]), "later": np.ones(2)}
+        with pytest.raises(CheckpointError, match="'bad'"):
+            check_finite(arrays)
+
+    def test_check_finite_passes_a_finite_net(self):
+        check_finite(NstNet.initialize(NstConfig(), seed=0).state_arrays())
+
+
 class TestTrain:
     @pytest.mark.parametrize("_smoke", [0])
     def test_log_lines_are_parseable(self, corpus, tmp_path, _smoke):
@@ -374,6 +386,11 @@ class TestTrain:
         """A NaN rate writes NaN weights, a zero clip norm moves none, a negative one ascends."""
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_an_infinite_learning_rate(self, value):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=value)
 
     def test_trains_in_float32(self, corpus, monkeypatch):
         """Parameters, gradients, Adam moments and buffers all stay float32."""
@@ -616,6 +633,14 @@ class TestTrainNstPair:
         with pytest.raises(ValueError, match=name):
             train_nst_pair(net, FeatureExtractor(seed=0), style, content,
                            **{"steps": 3, name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_learning_rate_that_is_not_finite(self, value):
+        style, content = self._pair(11)
+        net = NstNet.initialize(NstConfig(), seed=0)
+        with pytest.raises(ValueError, match="learning_rate"):
+            train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=1,
+                           learning_rate=value)
 
     def test_freezing_keeps_trace_and_updates_bit_identical(self):
         """Same trace and parameters as the loop that tapes every parameter.
