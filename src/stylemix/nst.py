@@ -31,7 +31,7 @@ from stylemix.autodiff import (
     sqrt,
     upsample_nearest,
 )
-from stylemix.fontnet import NetworkParams, check_state, config_record, read_config
+from stylemix.fontnet import NetworkParams, check_state, config_record, normal_draw, read_config
 
 STAT_EPSILON = 1e-8
 
@@ -270,15 +270,14 @@ class NstNet:
 
     @classmethod
     def initialize(cls, config: NstConfig, seed: int = 0) -> "NstNet":
-        rng = np.random.default_rng([811, seed])
-        return cls._build(config, lambda shape, std: rng.normal(0.0, std, size=shape))
+        return cls._build(config, normal_draw(np.random.default_rng([811, seed])))
 
     @classmethod
     def _build(cls, config: NstConfig, draw) -> "NstNet":
         """The net with each random weight taken from ``draw(shape, std)``.
 
-        Parameters are float32, the precision the checkpoint stores; each
-        drawn weight is rounded to it once.
+        Parameters are float32, the precision the checkpoint stores; ``draw``
+        returns float32 (``normal_draw``).
         """
         params = NetworkParams()
 
@@ -476,11 +475,10 @@ class FeatureExtractor:
     """
 
     def __init__(self, config: ExtractorConfig = ExtractorConfig(), seed: int = 0):
-        rng = np.random.default_rng([813, seed])
-        self._build(config, lambda shape, std: rng.normal(0.0, std, size=shape))
+        self._build(config, normal_draw(np.random.default_rng([813, seed])))
 
     def _build(self, config: ExtractorConfig, draw) -> None:
-        """Set the config and each stage kernel from ``draw(shape, std)``, rounded to float32."""
+        """Set the config and each stage kernel from ``draw(shape, std)``, as float32."""
         self.config = config
         self.weights: dict = {}
         cin = config.image_channels

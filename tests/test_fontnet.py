@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stylemix.autodiff import ShapeError, Tensor
-from stylemix.fontnet import FontNet, FontNetConfig, NetworkParams
+from stylemix.fontnet import FontNet, FontNetConfig, NetworkParams, normal_draw
+from stylemix.nst import ExtractorConfig, FeatureExtractor, NstConfig, NstNet
 from stylemix.training import load_checkpoint, save_checkpoint
 
 CUSTOM_FONT = FontNetConfig(image_size=16, base_channels=2, ref_count=2, bn_momentum=0.3,
@@ -294,3 +296,50 @@ class TestStateRoundTrip:
         state["meta.font"] = record
         with pytest.raises(ValueError, match="meta.font"):
             FontNet.from_state(state)
+
+
+def _whole_draw(rng):
+    """The whole-tensor draw, rounded to float32 once: the reference for normal_draw."""
+    return lambda shape, std: rng.normal(0.0, std, size=shape).astype(np.float32)
+
+
+class TestWeightDraw:
+    @pytest.mark.parametrize("shape", [(7,), (0, 3), (5, 4), (6, 3, 5, 5), (9, 9, 9)])
+    def test_sliced_draw_equals_the_whole_draw(self, shape):
+        draw, whole = normal_draw(np.random.default_rng(3)), _whole_draw(np.random.default_rng(3))
+        for std in (0.02, 1.5):  # consecutive draws continue one stream
+            got = draw(shape, std)
+            assert got.dtype == np.float32
+            assert got.tobytes() == whole(shape, std).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 809])
+    def test_initial_weights_are_the_whole_draw_rounded_once(self, seed):
+        """FontNet, NstNet and FeatureExtractor draw rng.normal(0, std, shape) in float32."""
+        for config in (FontNetConfig(), CUSTOM_FONT):
+            got = FontNet.initialize(config, seed=seed).state_arrays()
+            want = FontNet._build(config, _whole_draw(np.random.default_rng([809, seed])))
+            for name, array in want.state_arrays().items():
+                assert array.tobytes() == got[name].tobytes(), name
+        got = NstNet.initialize(NstConfig(), seed=seed).state_arrays()
+        want = NstNet._build(NstConfig(), _whole_draw(np.random.default_rng([811, seed])))
+        for name, array in want.state_arrays().items():
+            assert array.tobytes() == got[name].tobytes(), name
+        got = FeatureExtractor(ExtractorConfig(), seed=seed).state_arrays()
+        want = FeatureExtractor.__new__(FeatureExtractor)
+        want._build(ExtractorConfig(), _whole_draw(np.random.default_rng([813, seed])))
+        for name, array in want.state_arrays().items():
+            assert array.tobytes() == got[name].tobytes(), name
+
+    def test_initialize_holds_no_float64_weight(self):
+        """The default net's tracemalloc peak stays within 1.1x its float32 bytes.
+
+        Drawing each tensor whole in float64 first peaked at about 2x: the
+        128^3 mixer alone is a 16 MiB float64 draw."""
+        tracemalloc.start()
+        try:
+            net = FontNet.initialize(FontNetConfig(), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(p.data.nbytes for p in net.params.values())
+        assert peak <= 1.1 * nbytes

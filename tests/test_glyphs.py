@@ -276,11 +276,20 @@ class TestEvalSets:
 
 
 class TestReferenceProvenance:
+    def test_corpus_images_are_the_render_rounded_to_float32(self, small_corpus):
+        for i in (0, 5):
+            for j in (1, 7):
+                image = small_corpus.image(i, j)
+                want = render_glyph(small_corpus.styles[i], small_corpus.glyphs[j], 32)
+                assert image.dtype == np.float32
+                assert image.tobytes() == want.astype(np.float32).tobytes()
+                assert small_corpus.image(i, j) is image  # cached, not re-rendered
+
     def test_style_set_re_renders_from_the_same_style(self, small_corpus):
         ref = small_corpus.style_reference_set(2, (0, 3, 5))
         spec = small_corpus.styles[2]
         for image, j in zip(ref.images, ref.counterpart_ids):
-            again = render_glyph(spec, small_corpus.glyphs[j], 32)
+            again = render_glyph(spec, small_corpus.glyphs[j], 32).astype(np.float32)
             assert image.tobytes() == again.tobytes()
 
 
@@ -310,6 +319,17 @@ class TestExportImport:
         image = netpbm.read_image(tmp_path / "c" / glyphs.image_filename(1, 2))
         want = netpbm.quantize(corpus.image(1, 2)).astype(np.float64) / 255.0
         assert np.array_equal(image, want)
+
+    def test_export_quantizes_the_float64_render(self, tmp_path):
+        """Style 10, content 6 of seed 0 at 64 px has a pixel that quantizes one
+        level apart from the float64 raster once rounded to float32."""
+        corpus = Corpus(CorpusConfig(11, 7, 64, seed=0))
+        export_corpus(corpus, tmp_path / "f")
+        image = netpbm.read_image(tmp_path / "f" / glyphs.image_filename(10, 6))
+        raster = render_glyph(corpus.styles[10], corpus.glyphs[6], 64)
+        assert np.array_equal(image, netpbm.quantize(raster) / 255.0)
+        assert not np.array_equal(netpbm.quantize(raster),
+                                  netpbm.quantize(raster.astype(np.float32)))
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(CorpusError, match="manifest"):

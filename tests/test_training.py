@@ -392,6 +392,17 @@ class TestTrain:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=value)
 
+    @pytest.mark.parametrize("rate", [1e300, 3.5e38])
+    def test_rejects_a_rate_beyond_float32_before_any_update(self, corpus, rate):
+        """Finite in float64, inf in float32: Adam would turn every weight into NaN."""
+        config = TrainConfig(steps=2, learning_rate=rate, **MICRO_TRAIN)
+        net = FontNet.initialize(FontNetConfig(image_size=16, base_channels=4, ref_count=2))
+        before = {name: p.data.copy() for name, p in net.params.items()}
+        with pytest.raises(ValueError, match="learning_rate .* non-finite in float32"):
+            train(config, corpus, net=net)
+        for name, p in net.params.items():
+            assert np.array_equal(p.data, before[name]), name
+
     def test_trains_in_float32(self, corpus, monkeypatch):
         """Parameters, gradients, Adam moments and buffers all stay float32."""
         grad_dtypes = set()
@@ -641,6 +652,17 @@ class TestTrainNstPair:
         with pytest.raises(ValueError, match="learning_rate"):
             train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=1,
                            learning_rate=value)
+
+    def test_rejects_a_rate_beyond_float32_before_any_update(self):
+        style, content = self._pair(12)
+        net = NstNet.initialize(NstConfig(), seed=0)
+        before = {name: p.data.copy() for name, p in net.params.items()}
+        with pytest.raises(ValueError, match="learning_rate .* non-finite in float32"):
+            train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=2,
+                           learning_rate=1e300)
+        for name, p in net.params.items():
+            assert np.array_equal(p.data, before[name]), name
+            assert p.requires_grad, name
 
     def test_freezing_keeps_trace_and_updates_bit_identical(self):
         """Same trace and parameters as the loop that tapes every parameter.
