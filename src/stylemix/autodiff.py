@@ -455,7 +455,12 @@ def concat_channels(a, b) -> Tensor:
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
-    """max(a, slope * a) for a slope in [0, 1]; with slope 0, +inf maps to NaN."""
+    """max(a, slope * a) for a slope in [0, 1]; with slope 0, +inf maps to NaN.
+
+    The gradient is bitwise ``g * where(a >= 0, 1, slope)`` in g's dtype, NaN,
+    signed zeros and inf included. It is built in one g-sized array: the mask
+    ``a >= 0`` cast to g's dtype, raised to at least ``slope``, times g.
+    """
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
     a = as_tensor(a)
@@ -463,7 +468,10 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     out = Tensor(np.maximum(a.data, y, out=y))
 
     def vjp(g, needs):
-        return (np.where(a.data >= 0, g, slope * g),)  # a float mask would widen float32 g
+        factor = (a.data >= 0).astype(g.dtype)
+        np.maximum(factor, slope, out=factor)  # 1 where a >= 0, else slope
+        factor *= g
+        return (factor,)
 
     return _record(out, (a,), vjp)
 
@@ -840,6 +848,14 @@ def batchnorm2d(x, gamma, beta, mode: str = "train",
     ``running_stats`` by exponential moving average (on the variance), in the
     statistics' own dtype; eval mode normalizes with the running statistics,
     in the promoted dtype of ``x`` and those statistics.
+
+    Both forwards are bitwise ``gamma * ((x - mu) * inv) + beta`` with
+    ``inv = 1 / sqrt(var + epsilon)``; train mode takes ``var`` as np.var
+    does, from the centred array it keeps. The train-mode gradient
+    ``gamma * inv * (g - sum(g)/n - xhat * sum(g * xhat)/n)`` (Ioffe &
+    Szegedy, arXiv 1502.03167, §3) is formed in one output-sized array and
+    reuses its two sums as the beta and gamma gradients; it reassociates, so
+    it is not bitwise equal to other orderings of the same sums.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if epsilon <= 0:
@@ -883,7 +899,8 @@ def batchnorm2d(x, gamma, beta, mode: str = "train",
 
     n = x.shape[0] * x.shape[2] * x.shape[3]
     mu = x.data.mean(axis=(0, 2, 3))
-    var = x.data.var(axis=(0, 2, 3))
+    xhat = x.data - mu[:, None, None]
+    var = np.square(xhat).sum(axis=(0, 2, 3)) / n  # np.var's own steps, bitwise
     if running_stats is not None:  # the running statistics keep their dtype
         mean, std = np.asarray(running_stats.mean), np.asarray(running_stats.std)
         running_stats.mean = ((1.0 - momentum) * mean + momentum * mu).astype(
@@ -891,23 +908,21 @@ def batchnorm2d(x, gamma, beta, mode: str = "train",
         running_stats.std = np.sqrt((1.0 - momentum) * std ** 2 + momentum * var).astype(
             std.dtype, copy=False)
     inv = 1.0 / np.sqrt(var + epsilon)
-    xhat = x.data - mu[:, None, None]
     xhat *= inv[:, None, None]
     y = gamma.data[:, None, None] * xhat
     y += beta.data[:, None, None]
     out = Tensor(y)
 
     def vjp(g, needs):
-        gx = gg = gb = None
-        if needs[0]:
-            gxh = g * gamma.data[:, None, None]
-            sum_gxh = gxh.sum(axis=(0, 2, 3), keepdims=True)
-            sum_gxh_xhat = (gxh * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            gx = (inv[:, None, None] / n) * (n * gxh - sum_gxh - xhat * sum_gxh_xhat)
-        if needs[1]:
-            gg = (g * xhat).sum(axis=(0, 2, 3))
-        if needs[2]:
-            gb = g.sum(axis=(0, 2, 3))
-        return gx, gg, gb
+        gb = g.sum(axis=(0, 2, 3))
+        gx = g * xhat
+        gg = gx.sum(axis=(0, 2, 3))
+        if needs[0]:  # gamma * inv * (g - gb/n - xhat * gg/n), in gx's buffer
+            np.multiply(xhat, (gg / n)[:, None, None], out=gx)
+            np.subtract(g, gx, out=gx)
+            gx -= (gb / n)[:, None, None]
+            gx *= (gamma.data * inv)[:, None, None]
+        return (gx if needs[0] else None, gg if needs[1] else None,
+                gb if needs[2] else None)
 
     return _record(out, (x, gamma, beta), vjp)

@@ -300,8 +300,9 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
 
     Deterministic for a fixed config and corpus in single-threaded execution.
     Appends "step,loss,wall_ms" lines to ``log_path`` when given; aborts with
-    a diagnostic on a non-finite loss. Raises ValueError before any update
-    when Adam's learning rate is not finite in the parameters' dtype.
+    a diagnostic on a non-finite loss. Raises ValueError before the log is
+    opened or any update when Adam's learning rate is not finite in the
+    parameters' dtype.
     """
     if net is None:
         net = FontNet.initialize(
@@ -317,12 +318,12 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
         )
     if adam is None:
         adam = AdamState(learning_rate=config.learning_rate)
+    _check_rate(adam.learning_rate, net.dtype)
     log_file = open(log_path, "a", encoding="ascii") if log_path else None
     losses: list = []
     log_lines: list = []
     eval_history: list = []
     try:
-        _check_rate(adam.learning_rate, net.dtype)
         for offset in range(config.steps):
             step = config.start_step + offset
             t0 = time.perf_counter()

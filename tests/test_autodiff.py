@@ -444,6 +444,43 @@ class TestConvKernels:
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
+def taped_vjp(make_out):
+    """The VJP that the last op taped by ``make_out`` recorded, to call on a chosen g."""
+    graph = Graph()
+    with graph:
+        make_out()
+    return graph._nodes[-1].vjp
+
+
+def vjp_peak(vjp, g, needs):
+    """tracemalloc peak of one VJP call, its upstream gradient allocated beforehand."""
+    tracemalloc.start()
+    try:
+        vjp(g, needs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def channel_major(rng, shape, dtype):
+    """A [B,C,H,W] view of a [C,B,H,W] array, the layout conv2d and deconv2d return."""
+    b, c, h, w = shape
+    return rng.normal(1.0, 3.0, size=(c, b, h, w)).astype(dtype).transpose(1, 0, 2, 3)
+
+
+def reference_batchnorm_train_vjp(g, x, gamma, epsilon=1e-5):
+    """The three-sum train-mode gradient the engine computed before it reassociated."""
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    inv = 1.0 / np.sqrt(var + epsilon)
+    xhat = (x - mu[:, None, None]) * inv[:, None, None]
+    gxh = g * gamma[:, None, None]
+    sum_gxh = gxh.sum(axis=(0, 2, 3), keepdims=True)
+    sum_gxh_xhat = (gxh * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    gx = (inv[:, None, None] / n) * (n * gxh - sum_gxh - xhat * sum_gxh_xhat)
+    return gx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
 class TestBatchNorm:
     def test_constant_channel_maps_to_zero(self):
         x = Tensor(np.full((2, 3, 4, 4), 7.0))
@@ -506,6 +543,51 @@ class TestBatchNorm:
                              running_stats=stats).data
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_mode_equals_the_textbook_formula_bitwise_on_channel_major_input(self, dtype):
+        rng = np.random.default_rng(21)
+        x = channel_major(rng, (3, 16, 8, 8), dtype)
+        gamma = rng.normal(1.0, 0.5, size=16).astype(dtype)
+        beta = rng.normal(size=16).astype(dtype)
+        mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        want = (gamma[:, None, None] * ((x - mu[:, None, None]) * inv[:, None, None])
+                + beta[:, None, None])
+        got = ad.batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("layout", ["batch_major", "channel_major"])
+    def test_train_vjp_agrees_with_the_three_sum_expression(self, dtype, tol, layout):
+        rng = np.random.default_rng(22)
+        shape = (3, 16, 8, 8)
+        if layout == "channel_major":
+            x, g = channel_major(rng, shape, dtype), channel_major(rng, shape, dtype)
+        else:
+            x = rng.normal(1.0, 3.0, size=shape).astype(dtype)
+            g = rng.normal(size=shape).astype(dtype)
+        gamma = rng.normal(1.0, 0.5, size=16).astype(dtype)
+        beta = rng.normal(size=16).astype(dtype)
+        vjp = taped_vjp(lambda: ad.batchnorm2d(
+            Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+            Tensor(beta, requires_grad=True)))
+        got = vjp(g, (True, True, True))
+        for name, have, want in zip(("x", "gamma", "beta"), got,
+                                    reference_batchnorm_train_vjp(g, x, gamma)):
+            assert have.dtype == dtype and have.shape == want.shape, name
+            assert np.abs(have - want).max() <= tol * np.abs(want).max(), name
+
+    def test_train_vjp_holds_one_output_sized_array(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(4, 16, 32, 32)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        ones, zeros = np.ones(16, np.float32), np.zeros(16, np.float32)
+        vjp = taped_vjp(lambda: ad.batchnorm2d(
+            Tensor(x, requires_grad=True), Tensor(ones, requires_grad=True),
+            Tensor(zeros, requires_grad=True)))
+        assert vjp_peak(vjp, g, (True, True, True)) <= 1.5 * x.nbytes  # 3.1x with three sums
 
     def test_eval_mode_with_float32_stats_computes_in_float32(self):
         rng = np.random.default_rng(8)
@@ -603,6 +685,33 @@ class TestActivations:
         assert np.array_equal(x.grad, want, equal_nan=True)
         finite = ~np.isnan(want)
         assert np.array_equal(np.signbit(x.grad[finite]), np.signbit(want[finite]))
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2])
+    @pytest.mark.parametrize("layout", ["batch_major", "mixed"])
+    def test_leaky_relu_float32_gradient_equals_the_float_mask_form(self, slope, layout):
+        """Also for a channel-major ``a`` under a batch-major ``g``, as in FontNet's backward."""
+        rng = np.random.default_rng(24)
+        shape = (3, 4, 5, 6)
+        if layout == "mixed":
+            a = channel_major(rng, shape, np.float32)
+        else:
+            a = rng.normal(size=shape).astype(np.float32)
+        a.flat[:4] = [0.0, -0.0, np.inf, -np.inf]
+        g = rng.normal(size=shape).astype(np.float32)
+        with np.errstate(invalid="ignore"):  # relu's forward maps inf to 0 * inf
+            vjp = taped_vjp(lambda: ad.leaky_relu(Tensor(a, requires_grad=True), slope))
+        (got,) = vjp(g, (True,))
+        want = g * np.where(a >= 0, np.float32(1.0), np.float32(slope))
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_leaky_relu_gradient_holds_its_output_and_a_bool_mask(self):
+        rng = np.random.default_rng(25)
+        a = channel_major(rng, (4, 16, 64, 64), np.float32)
+        g = rng.normal(size=a.shape).astype(np.float32)
+        vjp = taped_vjp(lambda: ad.leaky_relu(Tensor(a, requires_grad=True), 0.2))
+        assert vjp_peak(vjp, g, (True,)) <= 1.3 * g.nbytes  # np.where held 2.3x
 
     def test_taped_float32_conv_and_leaky_relu_give_float32_gradients(self):
         rng = np.random.default_rng(8)

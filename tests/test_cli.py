@@ -122,7 +122,7 @@ class TestTrainCommand:
         assert run("train", "--corpus", str(corpus_dir), "--r", "2", "--nt", "10",
                    "--steps", "1", "--lr", "1e300", "--out", str(out)) == 3
         assert "non-finite" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["big.ckpt.log"]
+        assert [p.name for p in tmp_path.iterdir()] == []
 
     def test_missing_corpus_exits_with_data_error(self, tmp_path):
         assert run("train", "--corpus", str(tmp_path / "nowhere"), "--steps", "1",

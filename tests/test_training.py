@@ -403,6 +403,13 @@ class TestTrain:
         for name, p in net.params.items():
             assert np.array_equal(p.data, before[name]), name
 
+    def test_a_rate_beyond_float32_creates_no_log(self, corpus, tmp_path):
+        config = TrainConfig(steps=1, learning_rate=1e300, **MICRO_TRAIN)
+        log_path = tmp_path / "run.log"
+        with pytest.raises(ValueError, match="learning_rate"):
+            train(config, corpus, log_path=log_path)
+        assert not log_path.exists()
+
     def test_trains_in_float32(self, corpus, monkeypatch):
         """Parameters, gradients, Adam moments and buffers all stay float32."""
         grad_dtypes = set()
