@@ -8,6 +8,11 @@ the encoder. Each decoder block input is channel-concatenated with the
 output of the symmetric content-encoder block, except at the 1x1 bottleneck,
 which is the mixer output itself; the final 5x5 stride-1 deconvolution maps
 to one channel through a sigmoid.
+
+``Model`` is what every network here shares (``FontNet``, and ``NstNet`` and
+the loss ``FeatureExtractor`` in ``nst``): a config, float32 tensors in
+``NetworkParams``, seeding, and one checkpoint state that ``from_state``
+validates (``read_config``, ``check_state``, ``check_finite``) and loads.
 """
 
 from __future__ import annotations
@@ -102,9 +107,10 @@ class NetworkParams:
         self._tensors: dict = {}
 
     def add(self, name: str, array: np.ndarray) -> Tensor:
+        """A trainable float32 copy of ``array`` (no copy if it is float32), kept as ``name``."""
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
-        tensor = Tensor(array, requires_grad=True)
+        tensor = Tensor(np.asarray(array, dtype=np.float32), requires_grad=True)
         self._tensors[name] = tensor
         return tensor
 
@@ -211,52 +217,115 @@ def check_state(expected: dict, arrays: dict, key: str) -> None:
             )
 
 
-class FontNet:
+class CheckpointError(ValueError):
+    """Malformed checkpoint file."""
+
+
+def check_finite(arrays: dict) -> None:
+    """Raise :class:`CheckpointError` naming the first tensor that holds NaN
+    or inf once stored in float32 (a value beyond float32's range included)."""
+    with np.errstate(over="ignore"):  # the overflow is what is reported
+        for name, array in arrays.items():
+            if not np.isfinite(np.asarray(array).astype(np.float32, copy=False)).all():
+                raise CheckpointError(f"tensor {name!r} holds non-finite values in float32")
+
+
+class Model:
+    """A network's config, float32 parameters and batch-norm buffers.
+
+    A subclass names its ``config_type``, the ``record_key`` its config is
+    saved under and the ``seed_tag`` of its weight stream, and declares its
+    tensors in ``_layers(draw)``.
+    """
+
+    config_type: type
+    record_key: str
+    seed_tag: int
+
+    def __init__(self, config, draw):
+        """The model with each random weight taken from ``draw(shape, std)``.
+
+        Tensors are float32, the precision the checkpoint stores; ``draw``
+        returns float32 (``normal_draw``).
+        """
+        self.config = config
+        self.params = NetworkParams()
+        self.buffers: dict = {}  # name -> ChannelStats
+        self._layers(draw)
+
+    @classmethod
+    def initialize(cls, config, seed: int = 0):
+        return cls._build(config, normal_draw(np.random.default_rng([cls.seed_tag, seed])))
+
+    @classmethod
+    def _build(cls, config, draw):
+        model = cls.__new__(cls)  # past a subclass __init__ that takes a seed
+        Model.__init__(model, config, draw)
+        return model
+
+    # -- checkpoint state ----------------------------------------------------
+
+    def state_arrays(self) -> dict:
+        """Named arrays covering parameters, batch-norm buffers, and the config record."""
+        state = {name: t.data for name, t in self.params.items()}
+        for name, stats in self.buffers.items():
+            state[f"{name}.run_mean"] = np.asarray(stats.mean)
+            state[f"{name}.run_std"] = np.asarray(stats.std)
+        state[self.record_key] = config_record(self.config)
+        return state
+
+    @classmethod
+    def from_state(cls, arrays: dict):
+        """The model ``arrays`` describes, its tensors cast to float32.
+
+        A bad config record or tensor set raises ValueError; a tensor that is
+        not finite in float32 raises :class:`CheckpointError`."""
+        config = read_config(cls.config_type, arrays, cls.record_key)
+        model = cls._build(config, lambda shape, std: np.empty(shape, dtype=np.float32))
+        check_state(model.state_arrays(), arrays, cls.record_key)
+        check_finite(arrays)
+        for name, tensor in model.params.items():
+            tensor.data = np.asarray(arrays[name], dtype=np.float32)
+        for name, stats in model.buffers.items():
+            stats.mean = np.asarray(arrays[f"{name}.run_mean"], dtype=np.float32)
+            stats.std = np.asarray(arrays[f"{name}.run_std"], dtype=np.float32)
+        return model
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, float32 as built; array inputs are cast to it."""
+        return next(iter(self.params.values())).data.dtype
+
+    def _input(self, x) -> Tensor:
+        """``x`` as a Tensor, an array input cast to ``dtype``."""
+        return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
+
+
+class FontNet(Model):
     """Typeface transfer model: parameters, batch-norm buffers, forward ops."""
 
-    def __init__(self, config: FontNetConfig, params: NetworkParams, buffers: dict):
-        self.config = config
-        self.params = params
-        self.buffers = buffers  # name -> ChannelStats
+    config_type = FontNetConfig
+    record_key = "meta.font"
+    seed_tag = 809
 
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def initialize(cls, config: FontNetConfig, seed: int = 0) -> "FontNet":
-        return cls._build(config, normal_draw(np.random.default_rng([809, seed])))
-
-    @classmethod
-    def _build(cls, config: FontNetConfig, draw) -> "FontNet":
-        """The net with each random weight taken from ``draw(shape, std)``.
-
-        Parameters and batch-norm buffers are float32, the precision the
-        checkpoint stores; ``draw`` returns float32 (``normal_draw``).
-        """
+    def _layers(self, draw) -> None:
+        config, add = self.config, self.params.add
         std = config.init_std
-        params = NetworkParams()
-        buffers: dict = {}
-
-        def add(name, array):
-            params.add(name, np.asarray(array, dtype=np.float32))
 
         def batch_norm(name, cout):
             add(f"{name}.gamma", np.ones(cout))
             add(f"{name}.beta", np.zeros(cout))
-            buffers[name] = ChannelStats(np.zeros(cout, dtype=np.float32),
-                                         np.ones(cout, dtype=np.float32))
-
-        def conv_block(prefix, i, cin, cout, k, with_bn=True):
-            add(f"{prefix}.{i}.kernel", draw((cout, cin, k, k), std))
-            add(f"{prefix}.{i}.bias", np.zeros(cout))
-            if with_bn:
-                batch_norm(f"{prefix}.{i}", cout)
+            self.buffers[name] = ChannelStats(np.zeros(cout, dtype=np.float32),
+                                              np.ones(cout, dtype=np.float32))
 
         enc = config.encoder_channels
         for prefix in ("style_enc", "content_enc"):
             cin = config.ref_count
             for i, cout in enumerate(enc):
                 k = 5 if i == 0 else 3
-                conv_block(prefix, i, cin, cout, k)
+                add(f"{prefix}.{i}.kernel", draw((cout, cin, k, k), std))
+                add(f"{prefix}.{i}.bias", np.zeros(cout))
+                batch_norm(f"{prefix}.{i}", cout)
                 cin = cout
 
         code = config.code_dim
@@ -276,35 +345,6 @@ class FontNet:
         cin = (dec[-1] if dec else code) + enc[0]
         add(f"decoder.{last}.kernel", draw((cin, 1, 5, 5), std))
         add(f"decoder.{last}.bias", np.zeros(1))
-        return cls(config, params, buffers)
-
-    # -- checkpoint state ----------------------------------------------------
-
-    def state_arrays(self) -> dict:
-        """Named arrays covering parameters, BN buffers, and the config record."""
-        state = {name: t.data for name, t in self.params.items()}
-        for name, stats in self.buffers.items():
-            state[f"{name}.run_mean"] = np.asarray(stats.mean)
-            state[f"{name}.run_std"] = np.asarray(stats.std)
-        state["meta.font"] = config_record(self.config)
-        return state
-
-    @classmethod
-    def from_state(cls, arrays: dict) -> "FontNet":
-        config = read_config(FontNetConfig, arrays, "meta.font")
-        net = cls._build(config, lambda shape, std: np.empty(shape, dtype=np.float32))
-        check_state(net.state_arrays(), arrays, "meta.font")
-        for name, tensor in net.params.items():
-            tensor.data = np.asarray(arrays[name], dtype=np.float32)
-        for name, stats in net.buffers.items():
-            stats.mean = np.asarray(arrays[f"{name}.run_mean"], dtype=np.float32)
-            stats.std = np.asarray(arrays[f"{name}.run_std"], dtype=np.float32)
-        return net
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The parameters' dtype, float32 as built; array inputs are cast to it."""
-        return self.params["mixer.tensor"].data.dtype
 
     # -- forward ops ---------------------------------------------------------
 
@@ -338,14 +378,14 @@ class FontNet:
 
     def style_encode(self, x, mode: str = "eval") -> Tensor:
         """Style code [B, code_dim] from channel-concatenated reference images."""
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
+        x = self._input(x)
         self._check_ref_input(x, "style")
         code, _ = self._encode("style_enc", x, mode, keep_skips=False)
         return code
 
     def content_encode(self, x, mode: str = "eval"):
         """Content code [B, code_dim] plus per-block skip feature maps."""
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
+        x = self._input(x)
         self._check_ref_input(x, "content")
         return self._encode("content_enc", x, mode, keep_skips=True)
 

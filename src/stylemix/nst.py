@@ -31,7 +31,7 @@ from stylemix.autodiff import (
     sqrt,
     upsample_nearest,
 )
-from stylemix.fontnet import NetworkParams, check_state, config_record, normal_draw, read_config
+from stylemix.fontnet import Model, normal_draw
 
 STAT_EPSILON = 1e-8
 
@@ -261,28 +261,15 @@ def _he_std(cin: int, k: int) -> float:
     return float(np.sqrt(2.0 / (cin * k * k)))
 
 
-class NstNet:
+class NstNet(Model):
     """Style encoder + content encoder + statistic mixer + decoder."""
 
-    def __init__(self, config: NstConfig, params: NetworkParams):
-        self.config = config
-        self.params = params
+    config_type = NstConfig
+    record_key = "meta.nst"
+    seed_tag = 811
 
-    @classmethod
-    def initialize(cls, config: NstConfig, seed: int = 0) -> "NstNet":
-        return cls._build(config, normal_draw(np.random.default_rng([811, seed])))
-
-    @classmethod
-    def _build(cls, config: NstConfig, draw) -> "NstNet":
-        """The net with each random weight taken from ``draw(shape, std)``.
-
-        Parameters are float32, the precision the checkpoint stores; ``draw``
-        returns float32 (``normal_draw``).
-        """
-        params = NetworkParams()
-
-        def add(name, array):
-            params.add(name, np.asarray(array, dtype=np.float32))
+    def _layers(self, draw) -> None:
+        config, add = self.config, self.params.add
 
         def conv(name, cin, cout, k):
             add(f"{name}.kernel", draw((cout, cin, k, k), _he_std(cin, k)))
@@ -319,34 +306,15 @@ class NstNet:
             conv(f"decoder.up{j}", cin, cout, k)
             cin = cout
         conv("decoder.out", cin, config.image_channels, config.conv_plan[0][0])
-        return cls(config, params)
-
-    # -- checkpoint state ----------------------------------------------------
-
-    def state_arrays(self) -> dict:
-        state = {name: t.data for name, t in self.params.items()}
-        state["meta.nst"] = config_record(self.config)
-        return state
 
     @classmethod
     def from_state(cls, arrays: dict) -> "NstNet":
-        """The net ``arrays`` describes, its weights cast to float32."""
-        config = read_config(NstConfig, arrays, "meta.nst")
-        net = cls._build(config, lambda shape, std: np.empty(shape, dtype=np.float32))
-        check_state(net.state_arrays(), arrays, "meta.nst")
-        for name, tensor in net.params.items():
-            tensor.data = np.asarray(arrays[name], dtype=np.float32)
-        return net
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The parameters' dtype, float32 as built; array inputs are cast to it."""
-        return self.params["decoder.out.kernel"].data.dtype
+        return super().from_state(arrays)
 
     # -- forward -------------------------------------------------------------
 
     def _check_image(self, x, role: str) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
+        x = self._input(x)
         cfg = self.config
         if x.ndim != 4 or x.shape[1] != cfg.image_channels:
             raise ShapeError(
@@ -467,64 +435,47 @@ class ExtractorConfig:
             raise ValueError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
 
 
-class FeatureExtractor:
+class FeatureExtractor(Model):
     """Fixed (non-trainable) staged conv network providing loss-layer taps.
 
     Style losses read all stage outputs; the content loss reads the last.
-    Weights are seeded at construction or loaded from a checkpoint.
+    Weights are seeded at construction or loaded from a checkpoint, and every
+    tensor has ``requires_grad`` off.
     """
 
-    def __init__(self, config: ExtractorConfig = ExtractorConfig(), seed: int = 0):
-        self._build(config, normal_draw(np.random.default_rng([813, seed])))
+    config_type = ExtractorConfig
+    record_key = "meta.extractor"
+    seed_tag = 813
 
-    def _build(self, config: ExtractorConfig, draw) -> None:
-        """Set the config and each stage kernel from ``draw(shape, std)``, as float32."""
-        self.config = config
-        self.weights: dict = {}
-        cin = config.image_channels
-        k = config.kernel
-        for i, cout in enumerate(config.stage_channels):
-            kernel = draw((cout, cin, k, k), _he_std(cin, k))
-            self.weights[f"stage{i}.kernel"] = Tensor(np.asarray(kernel, dtype=np.float32))
-            self.weights[f"stage{i}.bias"] = Tensor(np.zeros(cout, dtype=np.float32))
+    def __init__(self, config: ExtractorConfig = ExtractorConfig(), seed: int = 0):
+        super().__init__(config, normal_draw(np.random.default_rng([self.seed_tag, seed])))
+
+    def _layers(self, draw) -> None:
+        cin = self.config.image_channels
+        k = self.config.kernel
+        for i, cout in enumerate(self.config.stage_channels):
+            self.params.add(f"stage{i}.kernel", draw((cout, cin, k, k), _he_std(cin, k)))
+            self.params.add(f"stage{i}.bias", np.zeros(cout))
             cin = cout
+        for tensor in self.params.values():
+            tensor.requires_grad = False
 
     @property
     def n_taps(self) -> int:
         return len(self.config.stage_channels)
 
-    @property
-    def dtype(self) -> np.dtype:
-        """The weights' dtype, float32 as built; array inputs are cast to it."""
-        return self.weights["stage0.kernel"].data.dtype
-
     def taps(self, image) -> list:
         """All stage outputs, shallowest first."""
-        out = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=self.dtype))
+        out = self._input(image)
         cfg = self.config
         results = []
         for i in range(self.n_taps):
-            out = conv2d(out, self.weights[f"stage{i}.kernel"],
-                         self.weights[f"stage{i}.bias"], stride=cfg.stride,
+            out = conv2d(out, self.params[f"stage{i}.kernel"],
+                         self.params[f"stage{i}.bias"], stride=cfg.stride,
                          padding=(cfg.kernel - 1) // 2)
             out = leaky_relu(out, cfg.leaky_slope)
             results.append(out)
         return results
-
-    def state_arrays(self) -> dict:
-        state = {name: t.data for name, t in self.weights.items()}
-        state["meta.extractor"] = config_record(self.config)
-        return state
-
-    @classmethod
-    def from_state(cls, arrays: dict) -> "FeatureExtractor":
-        extractor = cls.__new__(cls)
-        extractor._build(read_config(ExtractorConfig, arrays, "meta.extractor"),
-                         lambda shape, std: np.empty(shape, dtype=np.float32))
-        check_state(extractor.state_arrays(), arrays, "meta.extractor")
-        for name in extractor.weights:
-            extractor.weights[name] = Tensor(np.asarray(arrays[name], dtype=np.float32))
-        return extractor
 
 
 def _constant(image):

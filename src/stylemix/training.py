@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from stylemix.autodiff import Graph, Tensor
-from stylemix.fontnet import FontNet, FontNetConfig, stack_triplets
+from stylemix.fontnet import CheckpointError, FontNet, FontNetConfig, check_finite, stack_triplets
 from stylemix.glyphs import Corpus, sample_training_batch
 from stylemix.losses import l1_metric, pdar_metric, rmse_metric, weighted_l1_loss
 from stylemix.nst import FeatureExtractor, LossWeights, NstNet, nst_objective
@@ -34,10 +34,6 @@ ADAM_BLOCK = 16384  # elements per Adam block: two float32 scratch buffers of 64
 # items per evaluate() forward, set by memory: one float32 forward of the
 # default 64 px net peaks at 4.75 MiB traced for 3 items and 6.3 MiB for 4
 EVAL_BATCH = 3
-
-
-class CheckpointError(ValueError):
-    """Malformed checkpoint file."""
 
 
 class TrainingError(RuntimeError):
@@ -83,16 +79,6 @@ def _check_rate(learning_rate: float, dtype) -> None:
     if not np.isfinite(rate):
         raise ValueError(f"learning_rate {learning_rate} is non-finite in {np.dtype(dtype)}, "
                          f"the parameters' dtype")
-
-
-def check_finite(arrays: dict) -> None:
-    """Raise :class:`CheckpointError` naming the first tensor that holds NaN
-    or inf once stored in float32 (a value beyond float32's range included)."""
-    for name, array in arrays.items():
-        with np.errstate(over="ignore"):  # the overflow is what is reported
-            values = np.asarray(array).astype(np.float32, copy=False)
-        if not np.isfinite(values).all():
-            raise CheckpointError(f"tensor {name!r} holds non-finite values in float32")
 
 
 def load_checkpoint(path) -> dict:
@@ -300,8 +286,9 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
 
     Deterministic for a fixed config and corpus in single-threaded execution.
     Appends "step,loss,wall_ms" lines to ``log_path`` when given; aborts with
-    a diagnostic on a non-finite loss. Raises ValueError before the log is
-    opened or any update when Adam's learning rate is not finite in the
+    a diagnostic on a non-finite loss. Before the log is opened or any
+    update, raises TrainingError when the net's r or image size differs from
+    the run's, and ValueError when Adam's learning rate is not finite in the
     parameters' dtype.
     """
     if net is None:
@@ -315,6 +302,11 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
         raise TrainingError(
             f"model expects r={net.config.ref_count} but the run is configured "
             f"with r={config.r}"
+        )
+    if net.config.image_size != corpus.config.image_size:
+        raise TrainingError(
+            f"model expects {net.config.image_size}px images but the corpus holds "
+            f"{corpus.config.image_size}px"
         )
     if adam is None:
         adam = AdamState(learning_rate=config.learning_rate)

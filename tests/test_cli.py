@@ -220,6 +220,19 @@ class TestEvalCommand:
             assert len(values) == 3
             assert all(float(v) >= 0.0 for v in values)
 
+    def test_nan_tensor_is_a_data_error_and_prints_no_table(self, corpus_dir, font_ckpt,
+                                                            tmp_path, capsys):
+        arrays = load_checkpoint(font_ckpt)
+        arrays["mixer.tensor"][:] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(bad, arrays)
+        rc = run("eval", "--ckpt", str(bad), "--corpus", str(corpus_dir),
+                 "--r", "2", "--seed", "0", "--per-set", "2")
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "non-finite" in captured.err and "mixer.tensor" in captured.err
+        assert captured.out == ""
+
 
 class TestNstCommand:
     def test_alpha_sweep_emits_files(self, corpus_dir, nst_ckpt, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stylemix.autodiff import ShapeError, Tensor
-from stylemix.fontnet import FontNet, FontNetConfig, NetworkParams, normal_draw
+from stylemix.fontnet import CheckpointError, FontNet, FontNetConfig, NetworkParams, normal_draw
 from stylemix.nst import ExtractorConfig, FeatureExtractor, NstConfig, NstNet
 from stylemix.training import load_checkpoint, save_checkpoint
 
@@ -298,6 +298,17 @@ class TestStateRoundTrip:
             FontNet.from_state(state)
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])  # 1e39 overflows float32
+def test_every_model_rejects_a_state_not_finite_in_float32(value):
+    for model in (FontNet.initialize(CUSTOM_FONT), NstNet.initialize(NstConfig()),
+                  FeatureExtractor()):
+        state = {name: np.array(a, dtype=np.float64) for name, a in model.state_arrays().items()}
+        name = list(model.params.names())[-1]
+        state[name].flat[0] = value
+        with pytest.raises(CheckpointError, match=repr(name)):
+            type(model).from_state(state)
+
+
 def _whole_draw(rng):
     """The whole-tensor draw, rounded to float32 once: the reference for normal_draw."""
     return lambda shape, std: rng.normal(0.0, std, size=shape).astype(np.float32)
@@ -325,8 +336,8 @@ class TestWeightDraw:
         for name, array in want.state_arrays().items():
             assert array.tobytes() == got[name].tobytes(), name
         got = FeatureExtractor(ExtractorConfig(), seed=seed).state_arrays()
-        want = FeatureExtractor.__new__(FeatureExtractor)
-        want._build(ExtractorConfig(), _whole_draw(np.random.default_rng([813, seed])))
+        want = FeatureExtractor._build(ExtractorConfig(),
+                                       _whole_draw(np.random.default_rng([813, seed])))
         for name, array in want.state_arrays().items():
             assert array.tobytes() == got[name].tobytes(), name
 

@@ -432,7 +432,7 @@ def _nst_micro(seed: int, dtype) -> tuple:
     """The micro stylization net and 2-stage extractor, its float32 weights cast to ``dtype``."""
     net = NstNet.initialize(NST_MICRO, seed=seed)
     extractor = FeatureExtractor(NST_MICRO_EXTRACTOR, seed=seed)
-    for tensor in [*net.params.values(), *extractor.weights.values()]:
+    for tensor in [*net.params.values(), *extractor.params.values()]:
         tensor.data = tensor.data.astype(dtype)
     return net, extractor
 

@@ -561,7 +561,9 @@ class TestFeatureExtractor:
 
     def test_weights_are_frozen(self):
         extractor = FeatureExtractor(seed=0)
-        assert all(not t.requires_grad for t in extractor.weights.values())
+        loaded = FeatureExtractor.from_state(extractor.state_arrays())
+        for built in (extractor, loaded):
+            assert all(not t.requires_grad for t in built.params.values())
 
     def test_weights_and_taps_are_float32(self):
         extractor = FeatureExtractor(seed=0)
@@ -570,7 +572,7 @@ class TestFeatureExtractor:
         loaded = FeatureExtractor.from_state(wide)
         for built in (extractor, loaded):
             assert built.dtype == np.float32
-            assert {t.data.dtype for t in built.weights.values()} == {np.dtype(np.float32)}
+            assert {t.data.dtype for t in built.params.values()} == {np.dtype(np.float32)}
         image = np.random.default_rng(19).uniform(size=(1, 3, 16, 16))  # float64
         assert {t.data.dtype for t in loaded.taps(image)} == {np.dtype(np.float32)}
 

@@ -459,6 +459,15 @@ class TestTrain:
         with pytest.raises(TrainingError, match="r="):
             train(TrainConfig(steps=1, r=2, base_channels=4), corpus, net=net)
 
+    def test_mismatched_image_size_rejected_before_the_log_opens(self, corpus, tmp_path):
+        net = FontNet.initialize(
+            FontNetConfig(image_size=32, base_channels=4, ref_count=2), seed=0
+        )
+        log = tmp_path / "mis.log"
+        with pytest.raises(TrainingError, match="32px"):
+            train(TrainConfig(steps=1, r=2, base_channels=4), corpus, net=net, log_path=log)
+        assert not log.exists()
+
     def test_eval_cadence_records_history(self, corpus):
         suites = build_eval_sets(corpus, r=2, seed=0, per_set=2)
         config = TrainConfig(steps=4, eval_every=2, seed=5, **MICRO_TRAIN)
@@ -578,6 +587,14 @@ class TestTrainNstPair:
         for name, p in net.params.items():
             if not name.startswith("decoder."):
                 assert p.data.tobytes() == before[name], name
+
+    def test_leaves_the_extractor_without_gradients(self):
+        """A frozen extractor is not taped: no step computes its kernel gradients."""
+        style, content = self._pair(6)
+        extractor = FeatureExtractor(seed=0)
+        train_nst_pair(NstNet.initialize(NstConfig(), seed=0), extractor, style, content,
+                       steps=2)
+        assert all(p.grad is None for p in extractor.params.values())
 
     def test_flags_are_restored_when_the_run_aborts(self, monkeypatch):
         style, content = self._pair(6)
