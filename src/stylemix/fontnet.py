@@ -117,12 +117,6 @@ class NetworkParams:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     def names(self):
         return self._tensors.keys()
 
@@ -392,8 +386,7 @@ class FontNet(Model):
     def mix(self, style_code: Tensor, content_code: Tensor) -> Tensor:
         return bilinear_contract(style_code, self.params["mixer.tensor"], content_code)
 
-    def decode(self, mixed: Tensor, skips, mode: str = "eval",
-               zero_skips: bool = False) -> Tensor:
+    def decode(self, mixed: Tensor, skips, mode: str = "eval") -> Tensor:
         """Generate a [B, 1, H, W] image in (0, 1) from the mixed code."""
         cfg = self.config
         sizes = cfg.spatial_sizes
@@ -411,8 +404,6 @@ class FontNet(Model):
                         f"skip {cfg.depth - 1 - j} has shape {tuple(skip.shape)}, "
                         f"expected spatial {want}x{want}"
                     )
-                if zero_skips:
-                    skip = Tensor(np.zeros_like(skip.data))
                 out = concat_channels(out, skip)
             kernel = self.params[f"decoder.{j}.kernel"]
             bias = self.params[f"decoder.{j}.bias"]
@@ -431,16 +422,14 @@ class FontNet(Model):
                 out = sigmoid(out)
         return out
 
-    def forward_generate(self, style_x, content_x, mode: str = "eval",
-                         zero_skips: bool = False) -> Tensor:
+    def forward_generate(self, style_x, content_x, mode: str = "eval") -> Tensor:
         """Full pipeline: encode both reference sets, mix, decode."""
         style_code = self.style_encode(style_x, mode=mode)
         content_code, skips = self.content_encode(content_x, mode=mode)
         mixed = self.mix(style_code, content_code)
-        return self.decode(mixed, skips, mode=mode, zero_skips=zero_skips)
+        return self.decode(mixed, skips, mode=mode)
 
-    def generate_from_refs(self, style_images, content_images,
-                           zero_skips: bool = False) -> np.ndarray:
+    def generate_from_refs(self, style_images, content_images) -> np.ndarray:
         """Eval-mode generation for one item or a batch of items.
 
         One item is r [H, W] reference images per role (a list or an
@@ -459,13 +448,12 @@ class FontNet(Model):
         one_item = style.ndim == 3
         if one_item:
             style, content = style[None], content[None]
-        out = self.forward_generate(Tensor(style), Tensor(content), mode="eval",
-                                    zero_skips=zero_skips).data[:, 0]
+        out = self.forward_generate(Tensor(style), Tensor(content), mode="eval").data[:, 0]
         return out[0] if one_item else out
 
 
 def stack_triplets(triplets) -> tuple:
-    """Batch training triplets into (style [B,r,H,W], content [B,r,H,W], targets [B,1,H,W])."""
+    """Batch triplets into (style [B,r,H,W], content [B,r,H,W], targets [B,1,H,W])."""
     style = np.stack([np.stack(t.style_refs.images) for t in triplets])
     content = np.stack([np.stack(t.content_refs.images) for t in triplets])
     targets = np.stack([t.target[None] for t in triplets])

@@ -90,24 +90,15 @@ class DatasetPartition:
 class ReferenceSet:
     """r images sharing one style (or one content) with the anchor."""
 
-    kind: str  # "style" | "content"
     anchor_id: int
     counterpart_ids: tuple
     images: list  # of [H, W] float arrays
 
 
 @dataclass
-class TrainingTriplet:
-    style_refs: ReferenceSet
-    content_refs: ReferenceSet
-    target: np.ndarray
-    style_id: int
-    content_id: int
+class Triplet:
+    """An <r, r, 1> item of a training batch or an evaluation suite."""
 
-
-@dataclass
-class EvalItem:
-    cell: str
     style_refs: ReferenceSet
     content_refs: ReferenceSet
     target: np.ndarray
@@ -259,7 +250,6 @@ class Corpus:
     def style_reference_set(self, style_id: int, content_ids) -> ReferenceSet:
         content_ids = tuple(int(j) for j in content_ids)
         return ReferenceSet(
-            kind="style",
             anchor_id=style_id,
             counterpart_ids=content_ids,
             images=[self.image(style_id, j) for j in content_ids],
@@ -268,7 +258,6 @@ class Corpus:
     def content_reference_set(self, content_id: int, style_ids) -> ReferenceSet:
         style_ids = tuple(int(i) for i in style_ids)
         return ReferenceSet(
-            kind="content",
             anchor_id=content_id,
             counterpart_ids=style_ids,
             images=[self.image(i, content_id) for i in style_ids],
@@ -284,6 +273,17 @@ def _check_ref_count(r: int, pool_size: int, what: str) -> None:
         )
 
 
+def check_training_draw(corpus: Corpus, n_t: int, r: int, batch_size: int) -> None:
+    """Raise CorpusError unless the d1 pools can supply the batches asked for."""
+    part = corpus.partition
+    _check_ref_count(r, len(part.known_contents), "known contents (style references)")
+    _check_ref_count(r, len(part.known_styles), "known styles (content references)")
+    if n_t < 1:
+        raise CorpusError(f"training pool size must be >= 1, got {n_t}")
+    if batch_size < 1:
+        raise CorpusError(f"batch size must be >= 1, got {batch_size}")
+
+
 def sample_training_batch(corpus: Corpus, n_t: int, r: int, batch_size: int,
                           seed: int, step: int = 0) -> list:
     """Draw a batch of <r, r, 1> training triplets from the d1 cell.
@@ -294,13 +294,8 @@ def sample_training_batch(corpus: Corpus, n_t: int, r: int, batch_size: int,
     without replacement from the known ids and may include the target's own
     id.
     """
+    check_training_draw(corpus, n_t, r, batch_size)
     part = corpus.partition
-    _check_ref_count(r, len(part.known_contents), "known contents (style references)")
-    _check_ref_count(r, len(part.known_styles), "known styles (content references)")
-    if n_t < 1:
-        raise CorpusError(f"training pool size must be >= 1, got {n_t}")
-    if batch_size < 1:
-        raise CorpusError(f"batch size must be >= 1, got {batch_size}")
     draw = np.random.default_rng([_DRAW_TAG, seed, step])
     triplets = []
     for idx in draw.integers(0, n_t, size=batch_size):
@@ -310,7 +305,7 @@ def sample_training_batch(corpus: Corpus, n_t: int, r: int, batch_size: int,
         ref_contents = trng.choice(part.known_contents, size=r, replace=False)
         ref_styles = trng.choice(part.known_styles, size=r, replace=False)
         triplets.append(
-            TrainingTriplet(
+            Triplet(
                 style_refs=corpus.style_reference_set(style_id, ref_contents),
                 content_refs=corpus.content_reference_set(content_id, ref_styles),
                 target=corpus.image(style_id, content_id),
@@ -357,8 +352,7 @@ def build_eval_sets(corpus: Corpus, r: int, seed: int, per_set: int = 24) -> dic
                 all_styles[all_styles != style_id], size=r, replace=False
             )
             items.append(
-                EvalItem(
-                    cell=cell,
+                Triplet(
                     style_refs=corpus.style_reference_set(style_id, ref_contents),
                     content_refs=corpus.content_reference_set(content_id, ref_styles),
                     target=corpus.image(style_id, content_id),

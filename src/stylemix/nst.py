@@ -103,6 +103,7 @@ def _blend(a, b, alpha: float) -> Tensor:
     return as_tensor(a) * (1.0 - alpha) + as_tensor(b) * alpha
 
 
+# kept by name: perfbench/tracer.py wraps it, and the benchmark's smoke test fails without it
 def tradeoff_mix(f_con: Tensor, con_stats: ChannelStats, sty_stats: ChannelStats,
                  alpha: float, epsilon: float = STAT_EPSILON) -> Tensor:
     """Statistic match against a (1-alpha) content / alpha style stat blend.
@@ -307,6 +308,7 @@ class NstNet(Model):
             cin = cout
         conv("decoder.out", cin, config.image_channels, config.conv_plan[0][0])
 
+    # kept by name: perfbench/tracer.py wraps it, and the benchmark's smoke test fails without it
     @classmethod
     def from_state(cls, arrays: dict) -> "NstNet":
         return super().from_state(arrays)

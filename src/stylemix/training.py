@@ -24,7 +24,7 @@ import numpy as np
 
 from stylemix.autodiff import Graph, Tensor
 from stylemix.fontnet import CheckpointError, FontNet, FontNetConfig, check_finite, stack_triplets
-from stylemix.glyphs import Corpus, sample_training_batch
+from stylemix.glyphs import Corpus, check_training_draw, sample_training_batch
 from stylemix.losses import l1_metric, pdar_metric, rmse_metric, weighted_l1_loss
 from stylemix.nst import FeatureExtractor, LossWeights, NstNet, nst_objective
 
@@ -243,8 +243,6 @@ class TrainConfig:
     seed: int = 0
     clip_norm: float = 5.0
     start_step: int = 0
-    zero_skips: bool = False
-    eval_every: int = 0
 
     def __post_init__(self):
         if self.steps < 0:
@@ -253,11 +251,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
-        if self.start_step < 0 or self.eval_every < 0:
-            raise ValueError(
-                f"start_step and eval_every must be >= 0, got {self.start_step} "
-                f"and {self.eval_every}"
-            )
+        if self.start_step < 0:
+            raise ValueError(f"start_step must be >= 0, got {self.start_step}")
         if self.batch_size < 2:
             # train-mode batch-norm at the 1x1 bottleneck sees zero variance in
             # a batch of one, so the style encoder would get an all-zero gradient
@@ -268,8 +263,6 @@ class TrainConfig:
 class TrainResult:
     net: FontNet
     losses: list
-    log_lines: list
-    eval_history: list
 
 
 @dataclass(frozen=True)
@@ -280,16 +273,17 @@ class SuiteMetrics:
 
 
 def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
-          adam: AdamState | None = None, eval_suites: dict | None = None,
-          log_path=None) -> TrainResult:
+          adam: AdamState | None = None, log_path=None) -> TrainResult:
     """Optimize the weighted L1 objective over d1 triplets.
 
     Deterministic for a fixed config and corpus in single-threaded execution.
     Appends "step,loss,wall_ms" lines to ``log_path`` when given; aborts with
     a diagnostic on a non-finite loss. Before the log is opened or any
     update, raises TrainingError when the net's r or image size differs from
-    the run's, and ValueError when Adam's learning rate is not finite in the
-    parameters' dtype.
+    the run's, CorpusError when the corpus cannot supply its batches, and
+    ValueError when Adam's learning rate is not finite in the parameters'
+    dtype. To evaluate mid-run, call ``evaluate`` between runs that pass
+    ``start_step``, ``net`` and ``adam`` on.
     """
     if net is None:
         net = FontNet.initialize(
@@ -311,13 +305,11 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
     if adam is None:
         adam = AdamState(learning_rate=config.learning_rate)
     _check_rate(adam.learning_rate, net.dtype)
+    check_training_draw(corpus, config.n_t, config.r, config.batch_size)
     log_file = open(log_path, "a", encoding="ascii") if log_path else None
     losses: list = []
-    log_lines: list = []
-    eval_history: list = []
     try:
-        for offset in range(config.steps):
-            step = config.start_step + offset
+        for step in range(config.start_step, config.start_step + config.steps):
             t0 = time.perf_counter()
             triplets = sample_training_batch(
                 corpus, config.n_t, config.r, config.batch_size, config.seed, step
@@ -325,9 +317,7 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
             style_x, content_x, targets = stack_triplets(triplets)
             graph = Graph()
             with graph:
-                generated = net.forward_generate(
-                    style_x, content_x, mode="train", zero_skips=config.zero_skips,
-                )
+                generated = net.forward_generate(style_x, content_x, mode="train")
                 loss = weighted_l1_loss(generated, targets)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
@@ -340,22 +330,16 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
             adam_step(net.params, adam)
             net.params.zero_grad()
             wall_ms = (time.perf_counter() - t0) * 1000.0
-            line = f"{step},{loss_value:.10g},{wall_ms:.1f}"
             losses.append(loss_value)
-            log_lines.append(line)
             if log_file:
-                log_file.write(line + "\n")
-            if (config.eval_every and eval_suites is not None
-                    and (offset + 1) % config.eval_every == 0):
-                eval_history.append((step, evaluate(net, eval_suites)))
+                log_file.write(f"{step},{loss_value:.10g},{wall_ms:.1f}\n")
     finally:
         if log_file:
             log_file.close()
-    return TrainResult(net=net, losses=losses, log_lines=log_lines,
-                       eval_history=eval_history)
+    return TrainResult(net=net, losses=losses)
 
 
-def evaluate(net: FontNet, eval_suites: dict) -> dict:
+def evaluate(net: FontNet, suites: dict) -> dict:
     """Mean L1/RMSE/PDAR of eval-mode generations against targets per suite.
 
     Each suite runs in chunks of ``EVAL_BATCH`` items: a chunk's reference
@@ -364,7 +348,7 @@ def evaluate(net: FontNet, eval_suites: dict) -> dict:
     metrics are summed in item order.
     """
     results: dict = {}
-    for cell, items in eval_suites.items():
+    for cell, items in suites.items():
         if not items:
             raise ValueError(f"evaluation suite {cell!r} is empty")
         l1 = rmse = pdar = 0.0

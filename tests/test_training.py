@@ -9,7 +9,13 @@ import pytest
 from stylemix import training
 from stylemix.autodiff import Tensor
 from stylemix.fontnet import FontNet, FontNetConfig
-from stylemix.glyphs import Corpus, CorpusConfig, build_eval_sets, sample_training_batch
+from stylemix.glyphs import (
+    Corpus,
+    CorpusConfig,
+    CorpusError,
+    build_eval_sets,
+    sample_training_batch,
+)
 from stylemix.losses import l1_metric, pdar_metric, rmse_metric, weighted_l1_loss
 from stylemix.nst import FeatureExtractor, NstConfig, NstNet, nst_objective
 from stylemix.training import (
@@ -380,7 +386,6 @@ class TestTrain:
         ("clip_norm", 0.0),
         ("clip_norm", -1.0),
         ("start_step", -5),
-        ("eval_every", -1),
     ])
     def test_rejects_values_the_code_cannot_use(self, name, value):
         """A NaN rate writes NaN weights, a zero clip norm moves none, a negative one ascends."""
@@ -468,11 +473,31 @@ class TestTrain:
             train(TrainConfig(steps=1, r=2, base_channels=4), corpus, net=net, log_path=log)
         assert not log.exists()
 
-    def test_eval_cadence_records_history(self, corpus):
-        suites = build_eval_sets(corpus, r=2, seed=0, per_set=2)
-        config = TrainConfig(steps=4, eval_every=2, seed=5, **MICRO_TRAIN)
-        result = train(config, corpus, eval_suites=suites)
-        assert [step for step, _ in result.eval_history] == [1, 3]
+    @pytest.mark.parametrize("change", [{"r": 9}, {"n_t": 0}])
+    def test_corpus_refusal_comes_before_the_log_opens(self, corpus, tmp_path, change):
+        """r beyond the 6 known ids, or an empty pool, leaves no empty log behind."""
+        config = TrainConfig(steps=1, **{**MICRO_TRAIN, **change})
+        log = tmp_path / "refused.log"
+        with pytest.raises(CorpusError):
+            train(config, corpus, log_path=log)
+        assert not log.exists()
+
+    def test_split_run_with_an_evaluation_between_equals_one_run(self, corpus):
+        """Eval-mode batch norm updates no running statistics, so evaluate() is invisible."""
+        config = TrainConfig(steps=4, seed=5, **MICRO_TRAIN)
+        whole = train(config, corpus)
+        adam = AdamState(learning_rate=config.learning_rate)
+        first = train(TrainConfig(steps=2, seed=5, **MICRO_TRAIN), corpus, adam=adam)
+        evaluate(first.net, build_eval_sets(corpus, r=2, seed=0, per_set=2))
+        second = train(TrainConfig(steps=2, start_step=2, seed=5, **MICRO_TRAIN), corpus,
+                       net=first.net, adam=adam)
+        assert first.losses + second.losses == whole.losses
+        split_state = second.net.state_arrays()
+        whole_state = whole.net.state_arrays()
+        assert split_state.keys() == whole_state.keys()
+        for name, array in whole_state.items():
+            assert np.array_equal(split_state[name], array), name
+        assert adam.step_count == 4
 
 
 class TestEvaluate:
