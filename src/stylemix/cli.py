@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score a checkpoint over the d1..d4 cells")
     ev.add_argument("--ckpt", required=True)
     ev.add_argument("--corpus", required=True)
-    ev.add_argument("--r", type=int, default=4)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--per-set", type=int, default=24)
 
@@ -161,7 +160,8 @@ def _cmd_eval(args) -> int:
             f"corpus images are {corpus.config.image_size}px but the checkpoint "
             f"expects {net.config.image_size}px"
         )
-    suites = glyphs.build_eval_sets(corpus, args.r, args.seed, per_set=args.per_set)
+    suites = glyphs.build_eval_sets(corpus, net.config.ref_count, args.seed,
+                                    per_set=args.per_set)
     results = evaluate(net, suites)
     print("set,l1,rmse,pdar")
     for cell in glyphs.CELLS:

@@ -275,7 +275,9 @@ class Model:
         A bad config record or tensor set raises ValueError; a tensor that is
         not finite in float32 raises :class:`CheckpointError`."""
         config = read_config(cls.config_type, arrays, cls.record_key)
-        model = cls._build(config, lambda shape, std: np.empty(shape, dtype=np.float32))
+        # zero-stride placeholders: a record describing a huge net allocates
+        # nothing before check_state refuses the file
+        model = cls._build(config, lambda shape, std: np.broadcast_to(np.float32(0), shape))
         check_state(model.state_arrays(), arrays, cls.record_key)
         check_finite(arrays)
         for name, tensor in model.params.items():

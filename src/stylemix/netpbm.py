@@ -73,7 +73,7 @@ def _next_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
 def read_image(path) -> np.ndarray:
     """Read a binary P5 or P6 file into floats in [0, 1].
 
-    Returns [H, W] for P5 and [3, H, W] for P6.
+    Returns [H, W] for P5 and [3, H, W] for P6; a sample above maxval raises.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -104,7 +104,10 @@ def read_image(path) -> np.ndarray:
         )
     if len(data) > pos + expected:
         raise NetpbmError(f"{path}: {len(data) - pos - expected} trailing bytes after pixel data")
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / maxval
+    samples = np.frombuffer(raw, dtype=np.uint8)
+    if samples.max() > maxval:
+        raise NetpbmError(f"{path}: sample {samples.max()} exceeds maxval {maxval}")
+    pixels = samples.astype(np.float64) / maxval
     if channels == 1:
         return pixels.reshape(height, width)
     return pixels.reshape(height, width, 3).transpose(2, 0, 1)

@@ -336,8 +336,7 @@ class NstNet(Model):
                       padding=(k.shape[2] - 1) // 2)
 
     def _conv_block(self, name: str, x: Tensor, stride: int, slope: float) -> Tensor:
-        out = self._conv(name, x, stride)
-        return leaky_relu(out, slope) if slope != 0.0 else relu(out)
+        return leaky_relu(self._conv(name, x, stride), slope)
 
     def _res_block(self, name: str, x: Tensor, slope: float) -> Tensor:
         out = self._conv_block(f"{name}.conv0", x, 1, slope)
@@ -462,16 +461,12 @@ class FeatureExtractor(Model):
         for tensor in self.params.values():
             tensor.requires_grad = False
 
-    @property
-    def n_taps(self) -> int:
-        return len(self.config.stage_channels)
-
     def taps(self, image) -> list:
         """All stage outputs, shallowest first."""
         out = self._input(image)
         cfg = self.config
         results = []
-        for i in range(self.n_taps):
+        for i in range(len(cfg.stage_channels)):
             out = conv2d(out, self.params[f"stage{i}.kernel"],
                          self.params[f"stage{i}.bias"], stride=cfg.stride,
                          padding=(cfg.kernel - 1) // 2)
@@ -485,14 +480,12 @@ def _constant(image):
     return image.detach() if isinstance(image, Tensor) else image
 
 
-def nst_objective(extractor: FeatureExtractor, generated: Tensor, content_img,
-                  style_img, weights: LossWeights = LossWeights(),
-                  stat_epsilon: float = STAT_EPSILON):
+def nst_objective(extractor: FeatureExtractor, generated: Tensor, content_img, style_img):
     """Total stylization objective and its (content, style, tv) parts."""
     gen_taps = extractor.taps(generated)
     con_taps = extractor.taps(_constant(content_img))
     sty_taps = extractor.taps(_constant(style_img))
     lc = content_loss(gen_taps[-1], con_taps[-1])
-    ls = style_loss(gen_taps, sty_taps, epsilon=stat_epsilon)
+    ls = style_loss(gen_taps, sty_taps, epsilon=STAT_EPSILON)
     ltv = tv_loss(generated)
-    return total_loss(lc, ls, ltv, weights), (lc, ls, ltv)
+    return total_loss(lc, ls, ltv), (lc, ls, ltv)

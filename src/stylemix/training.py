@@ -26,7 +26,7 @@ from stylemix.autodiff import Graph, Tensor
 from stylemix.fontnet import CheckpointError, FontNet, FontNetConfig, check_finite, stack_triplets
 from stylemix.glyphs import Corpus, check_training_draw, sample_training_batch
 from stylemix.losses import l1_metric, pdar_metric, rmse_metric, weighted_l1_loss
-from stylemix.nst import FeatureExtractor, LossWeights, NstNet, nst_objective
+from stylemix.nst import FeatureExtractor, NstNet, nst_objective
 
 CHECKPOINT_MAGIC = b"EMD1"
 CHECKPOINT_VERSION = 1
@@ -285,6 +285,7 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
     dtype. To evaluate mid-run, call ``evaluate`` between runs that pass
     ``start_step``, ``net`` and ``adam`` on.
     """
+    check_training_draw(corpus, config.n_t, config.r, config.batch_size)
     if net is None:
         net = FontNet.initialize(
             FontNetConfig(image_size=corpus.config.image_size,
@@ -305,7 +306,6 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
     if adam is None:
         adam = AdamState(learning_rate=config.learning_rate)
     _check_rate(adam.learning_rate, net.dtype)
-    check_training_draw(corpus, config.n_t, config.r, config.batch_size)
     log_file = open(log_path, "a", encoding="ascii") if log_path else None
     losses: list = []
     try:
@@ -374,20 +374,13 @@ def evaluate(net: FontNet, suites: dict) -> dict:
 
 def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_img,
                    steps: int = 500, learning_rate: float = 1e-3,
-                   weights: LossWeights = LossWeights(),
-                   optimize_prefix: str = "decoder.", clip_norm: float = 10.0) -> list:
-    """Optimize one subnet (the decoder by default) on one style/content pair.
+                   clip_norm: float = 10.0) -> list:
+    """Fit the decoder on one style/content pair against fixed encoder features.
 
-    Parameters outside ``optimize_prefix`` are frozen for the length of the
-    call: they are neither taped nor given a gradient, and their
-    ``requires_grad`` flag is restored on return, also when the call raises.
-
-    The encoders and the mixer see the same images every step, so when the
-    first step computes the mixed features untaped (every parameter they
-    depend on is frozen, as with the default prefix) those features, with
-    the content features and style statistics behind them, are computed
-    once per call and reused; when they are taped (say, with
-    ``optimize_prefix="style_enc."``) they are recomputed every step.
+    The encoders and the mixer see the same images every step, so the mixed
+    features are computed once, before any graph is active: nothing upstream
+    of the decoder is taped, only ``decoder.*`` parameters get a gradient,
+    and no parameter's ``requires_grad`` flag is touched.
     The images are cast to ``net.dtype``, so the whole step computes in the
     parameters' dtype, and a ``learning_rate`` that is not finite in it
     raises ValueError. Returns the per-step total-loss trace.
@@ -401,34 +394,21 @@ def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_
         raise ValueError(f"clip_norm must be > 0, got {clip_norm}")
     style = Tensor(np.asarray(style_img, dtype=net.dtype))
     content = Tensor(np.asarray(content_img, dtype=net.dtype))
-    subset = {name: p for name, p in net.params.items()
-              if name.startswith(optimize_prefix)}
-    if not subset:
-        raise TrainingError(f"no parameters match prefix {optimize_prefix!r}")
-    frozen = [p for name, p in net.params.items()
-              if name not in subset and p.requires_grad]
+    decoder = {name: p for name, p in net.params.items() if name.startswith("decoder.")}
     adam = AdamState(learning_rate=learning_rate)
+    mixed, sizes = net.mix_features(content, net.style_encode(style))
     trace: list = []
-    try:
-        for p in frozen:
-            p.requires_grad = False
-        mixed = sizes = None
-        for step in range(steps):
-            graph = Graph()
-            with graph:
-                if mixed is None or mixed.requires_grad:
-                    mixed, sizes = net.mix_features(content, net.style_encode(style))
-                generated = net.decode(mixed, sizes)
-                loss, _ = nst_objective(extractor, generated, content, style, weights)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise TrainingError(f"non-finite stylization loss {loss_value} at step {step}")
-            graph.backward(loss)
-            clip_gradients(subset, clip_norm)
-            adam_step(subset, adam)
-            net.params.zero_grad()
-            trace.append(loss_value)
-    finally:
-        for p in frozen:
-            p.requires_grad = True
+    for step in range(steps):
+        graph = Graph()
+        with graph:
+            generated = net.decode(mixed, sizes)
+            loss, _ = nst_objective(extractor, generated, content, style)
+        loss_value = loss.item()
+        if not np.isfinite(loss_value):
+            raise TrainingError(f"non-finite stylization loss {loss_value} at step {step}")
+        graph.backward(loss)
+        clip_gradients(decoder, clip_norm)
+        adam_step(decoder, adam)
+        net.params.zero_grad()
+        trace.append(loss_value)
     return trace

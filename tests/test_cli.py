@@ -210,7 +210,7 @@ class TestGenerateCommand:
 class TestEvalCommand:
     def test_emits_csv_metric_table(self, corpus_dir, font_ckpt, capsys):
         assert run("eval", "--ckpt", str(font_ckpt), "--corpus", str(corpus_dir),
-                   "--r", "2", "--seed", "0", "--per-set", "2") == 0
+                   "--seed", "0", "--per-set", "2") == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "set,l1,rmse,pdar"
         assert len(lines) == 5
@@ -227,7 +227,7 @@ class TestEvalCommand:
         bad = tmp_path / "nan.ckpt"
         save_checkpoint(bad, arrays)
         rc = run("eval", "--ckpt", str(bad), "--corpus", str(corpus_dir),
-                 "--r", "2", "--seed", "0", "--per-set", "2")
+                 "--seed", "0", "--per-set", "2")
         captured = capsys.readouterr()
         assert rc == 3
         assert "non-finite" in captured.err and "mixer.tensor" in captured.err

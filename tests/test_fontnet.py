@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from stylemix.autodiff import ShapeError, Tensor
-from stylemix.fontnet import CheckpointError, FontNet, FontNetConfig, NetworkParams, normal_draw
+from stylemix.fontnet import (
+    CheckpointError,
+    FontNet,
+    FontNetConfig,
+    NetworkParams,
+    config_record,
+    normal_draw,
+)
 from stylemix.nst import ExtractorConfig, FeatureExtractor, NstConfig, NstNet
 from stylemix.training import load_checkpoint, save_checkpoint
 
@@ -297,6 +304,26 @@ def test_every_model_rejects_a_state_not_finite_in_float32(value):
         name = list(model.params.names())[-1]
         state[name].flat[0] = value
         with pytest.raises(CheckpointError, match=repr(name)):
+            type(model).from_state(state)
+
+
+def test_every_model_refuses_a_huge_record_without_allocating_it():
+    """A record describing tensors of over 2**47 bytes fails the shape check; the
+    placeholders built to compare shapes take no memory."""
+    cases = (
+        (FontNet.initialize(CUSTOM_FONT), dataclasses.replace(CUSTOM_FONT, base_channels=100000)),
+        (NstNet.initialize(NstConfig()), NstConfig(conv_plan=((3, 1, 16), (3, 2, 32),
+                                                              (101, 2, 2 ** 16)))),
+        (FeatureExtractor(), ExtractorConfig(stage_channels=(8, 16, 2 ** 16, 2 ** 16),
+                                             kernel=101)),
+    )
+    for model, huge in cases:
+        shapes = [t.shape for t in type(model)._build(
+            huge, lambda shape, std: np.broadcast_to(np.float32(0), shape)).params.values()]
+        assert 4 * sum(float(np.prod(shape, dtype=np.float64)) for shape in shapes) > 2 ** 47
+        state = model.state_arrays()
+        state[model.record_key] = config_record(huge)
+        with pytest.raises(ValueError, match="has shape"):
             type(model).from_state(state)
 
 

@@ -410,6 +410,13 @@ class TestNetpbm:
         with pytest.raises(netpbm.NetpbmError, match="trailing"):
             netpbm.read_image(path)
 
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        """A byte of 200 under maxval 1 would otherwise read as 200.0, outside [0, 1]."""
+        path = tmp_path / "h.pgm"
+        path.write_bytes(b"P5\n2 1\n1\n\x01\xc8")
+        with pytest.raises(netpbm.NetpbmError, match="sample 200 exceeds maxval 1"):
+            netpbm.read_image(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "g.pgm"
         path.write_bytes(b"P2\n1 1\n255\n0")
