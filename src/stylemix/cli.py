@@ -203,34 +203,20 @@ def _cmd_nst_init(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    commands = {"corpus": _cmd_corpus, "train": _cmd_train, "generate": _cmd_generate,
+                "eval": _cmd_eval, "nst": lambda args: _cmd_nst(args, parser),
+                "nst-init": _cmd_nst_init}
     try:
         args = parser.parse_args(argv)
+        return commands[args.command](args)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code) if exc.code else EXIT_OK
-    try:
-        if args.command == "corpus":
-            return _cmd_corpus(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "nst":
-            try:
-                return _cmd_nst(args, parser)
-            except SystemExit as exc:
-                return int(exc.code) if exc.code else EXIT_OK
-        if args.command == "nst-init":
-            return _cmd_nst_init(args)
-        parser.error(f"unknown command {args.command!r}")
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (NetpbmError, CorpusError, CheckpointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

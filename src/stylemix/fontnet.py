@@ -126,10 +126,6 @@ class NetworkParams:
     def values(self):
         return self._tensors.values()
 
-    def zero_grad(self) -> None:
-        for tensor in self._tensors.values():
-            tensor.grad = None
-
 
 def config_record(config) -> np.ndarray:
     """A config dataclass as the UTF-8 bytes of its JSON, one value per byte.

@@ -263,6 +263,15 @@ class Corpus:
             images=[self.image(i, content_id) for i in style_ids],
         )
 
+    def triplet(self, style_id: int, content_id: int, ref_contents, ref_styles) -> Triplet:
+        """The item for target (style_id, content_id): its style references
+        render ``ref_contents`` in its style, its content references render
+        its content in ``ref_styles``."""
+        return Triplet(style_refs=self.style_reference_set(style_id, ref_contents),
+                       content_refs=self.content_reference_set(content_id, ref_styles),
+                       target=self.image(style_id, content_id),
+                       style_id=style_id, content_id=content_id)
+
 
 def _check_ref_count(r: int, pool_size: int, what: str) -> None:
     if r < 1:
@@ -304,15 +313,7 @@ def sample_training_batch(corpus: Corpus, n_t: int, r: int, batch_size: int,
         content_id = int(part.known_contents[trng.integers(len(part.known_contents))])
         ref_contents = trng.choice(part.known_contents, size=r, replace=False)
         ref_styles = trng.choice(part.known_styles, size=r, replace=False)
-        triplets.append(
-            Triplet(
-                style_refs=corpus.style_reference_set(style_id, ref_contents),
-                content_refs=corpus.content_reference_set(content_id, ref_styles),
-                target=corpus.image(style_id, content_id),
-                style_id=style_id,
-                content_id=content_id,
-            )
-        )
+        triplets.append(corpus.triplet(style_id, content_id, ref_contents, ref_styles))
     return triplets
 
 
@@ -351,15 +352,7 @@ def build_eval_sets(corpus: Corpus, r: int, seed: int, per_set: int = 24) -> dic
             ref_styles = rng.choice(
                 all_styles[all_styles != style_id], size=r, replace=False
             )
-            items.append(
-                Triplet(
-                    style_refs=corpus.style_reference_set(style_id, ref_contents),
-                    content_refs=corpus.content_reference_set(content_id, ref_styles),
-                    target=corpus.image(style_id, content_id),
-                    style_id=style_id,
-                    content_id=content_id,
-                )
-            )
+            items.append(corpus.triplet(style_id, content_id, ref_contents, ref_styles))
         suites[cell] = items
     return suites
 

@@ -1,7 +1,8 @@
 """End-to-end optimization, evaluation over the four cells, and checkpoints.
 
-Training iterates batch sampling -> forward generation -> weighted L1 ->
-backward -> gradient clipping -> Adam. ``FontNet`` (in ``train`` and
+Both trainers step through ``fit_step``: tape the loss, refuse a non-finite
+one, backward, clip, Adam. ``train`` feeds it a batch's weighted L1 and
+``train_nst_pair`` a pair's stylization objective. ``FontNet`` (in ``train`` and
 ``evaluate``) and ``NstNet`` (in ``train_nst_pair``) compute in float32, their
 parameters' dtype: every forward, backward, clip and Adam step runs in it.
 The corpus caches its images in float32 too, so batches and evaluation chunks
@@ -31,13 +32,23 @@ from stylemix.nst import FeatureExtractor, NstNet, nst_objective
 CHECKPOINT_MAGIC = b"EMD1"
 CHECKPOINT_VERSION = 1
 ADAM_BLOCK = 16384  # elements per Adam block: two float32 scratch buffers of 64 KiB
-# items per evaluate() forward, set by memory: one float32 forward of the
-# default 64 px net peaks at 4.75 MiB traced for 3 items and 6.3 MiB for 4
+# items per evaluate() forward, set by memory: a float32 forward of the default 64 px
+# net peaks in deconv2d at decoder.5, at 4.72 MiB traced for 3 items, 9.34 for 6 and
+# 12.44 for 8. It costs speed: on 2 vCPUs with 1 BLAS thread, 8 items cut font_eval
+# op_ms_p50 171-178 -> 141-148 ms, at peak_rss_mb 73.0 -> 81.7-83.2 MB (3 run pairs).
 EVAL_BATCH = 3
 
 
 class TrainingError(RuntimeError):
     """Training aborted (non-finite loss or inconsistent configuration)."""
+
+
+class NonFiniteLoss(TrainingError):
+    """A non-finite loss, refused by ``fit_step`` before any update."""
+
+    def __init__(self, value: float):
+        super().__init__(f"non-finite loss {value}")
+        self.value = value
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +238,24 @@ def clip_gradients(params, max_norm: float) -> float:
     return norm
 
 
+def fit_step(params, loss_fn, adam: AdamState, clip_norm: float) -> float:
+    """Tape ``loss_fn()`` in one fresh ``Graph``, backpropagate, clip, take one Adam
+    step over ``params`` and clear their gradients. Returns the loss value; a
+    non-finite one raises NonFiniteLoss before any gradient or update."""
+    graph = Graph()
+    with graph:
+        loss = loss_fn()
+    loss_value = loss.item()
+    if not np.isfinite(loss_value):
+        raise NonFiniteLoss(loss_value)
+    graph.backward(loss)
+    clip_gradients(params, clip_norm)
+    adam_step(params, adam)
+    for p in params.values():
+        p.grad = None
+    return loss_value
+
+
 # ---------------------------------------------------------------------------
 # typeface training and evaluation
 # ---------------------------------------------------------------------------
@@ -315,24 +344,20 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
                 corpus, config.n_t, config.r, config.batch_size, config.seed, step
             )
             style_x, content_x, targets = stack_triplets(triplets)
-            graph = Graph()
-            with graph:
+
+            def batch_loss():
                 generated = net.forward_generate(style_x, content_x, mode="train")
-                loss = weighted_l1_loss(generated, targets)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                ids = [(t.style_id, t.content_id) for t in triplets]
-                raise TrainingError(
-                    f"non-finite loss {loss_value} at step {step} on batch {ids}"
-                )
-            graph.backward(loss)
-            clip_gradients(net.params, config.clip_norm)
-            adam_step(net.params, adam)
-            net.params.zero_grad()
+                return weighted_l1_loss(generated, targets)
+
+            loss_value = fit_step(net.params, batch_loss, adam, config.clip_norm)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             losses.append(loss_value)
             if log_file:
                 log_file.write(f"{step},{loss_value:.10g},{wall_ms:.1f}\n")
+    except NonFiniteLoss as error:
+        ids = [(t.style_id, t.content_id) for t in triplets]
+        raise TrainingError(
+            f"non-finite loss {error.value} at step {step} on batch {ids}") from None
     finally:
         if log_file:
             log_file.close()
@@ -381,9 +406,9 @@ def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_
     features are computed once, before any graph is active: nothing upstream
     of the decoder is taped, only ``decoder.*`` parameters get a gradient,
     and no parameter's ``requires_grad`` flag is touched.
-    The images are cast to ``net.dtype``, so the whole step computes in the
-    parameters' dtype, and a ``learning_rate`` that is not finite in it
-    raises ValueError. Returns the per-step total-loss trace.
+    The images, arrays or Tensors, are cast to ``net.dtype``, so the whole
+    step computes in the parameters' dtype, and a ``learning_rate`` that is
+    not finite in it raises ValueError. Returns the per-step total-loss trace.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -392,23 +417,20 @@ def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_
     _check_rate(learning_rate, net.dtype)
     if not clip_norm > 0:
         raise ValueError(f"clip_norm must be > 0, got {clip_norm}")
-    style = Tensor(np.asarray(style_img, dtype=net.dtype))
-    content = Tensor(np.asarray(content_img, dtype=net.dtype))
+    style, content = (Tensor(np.asarray(img.data if isinstance(img, Tensor) else img,
+                                        dtype=net.dtype)) for img in (style_img, content_img))
     decoder = {name: p for name, p in net.params.items() if name.startswith("decoder.")}
     adam = AdamState(learning_rate=learning_rate)
     mixed, sizes = net.mix_features(content, net.style_encode(style))
+
+    def pair_loss():
+        return nst_objective(extractor, net.decode(mixed, sizes), content, style)[0]
+
     trace: list = []
-    for step in range(steps):
-        graph = Graph()
-        with graph:
-            generated = net.decode(mixed, sizes)
-            loss, _ = nst_objective(extractor, generated, content, style)
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
-            raise TrainingError(f"non-finite stylization loss {loss_value} at step {step}")
-        graph.backward(loss)
-        clip_gradients(decoder, clip_norm)
-        adam_step(decoder, adam)
-        net.params.zero_grad()
-        trace.append(loss_value)
+    try:
+        for step in range(steps):
+            trace.append(fit_step(decoder, pair_loss, adam, clip_norm))
+    except NonFiniteLoss as error:
+        raise TrainingError(
+            f"non-finite stylization loss {error.value} at step {step}") from None
     return trace

@@ -380,7 +380,8 @@ def _pipeline_gradient(net: FontNet, style_x, content_x, targets) -> np.ndarray:
                                 targets)
     graph.backward(loss)
     grads = [t.grad.ravel() for t in net.params.values()]
-    net.params.zero_grad()
+    for t in net.params.values():
+        t.grad = None
     return np.concatenate(grads)
 
 

@@ -46,6 +46,27 @@ def corpus():
     return Corpus(CorpusConfig(n_styles=8, n_contents=8, image_size=16, seed=0))
 
 
+def _optimizer_state(params, adam):
+    """Each parameter's data array and bytes, Adam's step count and its moments' arrays
+    and bytes: what a refused step must leave as it found it."""
+    return ({name: (p.data, p.data.tobytes()) for name, p in params.items()},
+            adam.step_count,
+            [{name: (a, a.tobytes()) for name, a in moments.items()}
+             for moments in (adam.m, adam.v)])
+
+
+def _assert_untouched(params, adam, before):
+    data, step_count, moments = before
+    for name, p in params.items():
+        assert p.data is data[name][0] and p.data.tobytes() == data[name][1], name
+        assert p.grad is None, name
+    assert adam.step_count == step_count
+    for now, then in zip((adam.m, adam.v), moments):
+        assert now.keys() == then.keys()
+        for name, a in now.items():
+            assert a is then[name][0] and a.tobytes() == then[name][1], name
+
+
 class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -457,6 +478,24 @@ class TestTrain:
         with pytest.raises(TrainingError, match="step 0"):
             train(config, corpus, net=net)
 
+    def test_nonfinite_loss_updates_nothing(self, corpus, monkeypatch):
+        """The refused step leaves parameters, Adam's state and every gradient as
+        the last good step left them."""
+        net = FontNet.initialize(
+            FontNetConfig(image_size=16, base_channels=4, ref_count=2), seed=3
+        )
+        adam = AdamState(learning_rate=1e-3)
+        train(TrainConfig(steps=1, seed=3, **MICRO_TRAIN), corpus, net=net, adam=adam)
+        assert adam.step_count == 1 and adam.m
+        before = _optimizer_state(net.params, adam)
+        monkeypatch.setattr(training, "weighted_l1_loss",
+                            lambda generated, targets: weighted_l1_loss(generated, targets)
+                            * np.nan)
+        with pytest.raises(TrainingError, match=r"non-finite loss nan at step 1 on batch \["):
+            train(TrainConfig(steps=2, start_step=1, seed=3, **MICRO_TRAIN), corpus,
+                  net=net, adam=adam)
+        _assert_untouched(net.params, adam, before)
+
     def test_mismatched_ref_count_rejected(self, corpus):
         net = FontNet.initialize(
             FontNetConfig(image_size=16, base_channels=4, ref_count=3), seed=0
@@ -633,6 +672,48 @@ class TestTrainNstPair:
             train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=5)
         assert all(p.requires_grad for p in net.params.values())
 
+    def test_nonfinite_loss_updates_nothing(self, monkeypatch):
+        """A step refused after two good ones leaves every parameter, the decoder's
+        Adam state and every gradient as the second step left them."""
+        style, content = self._pair(6)
+        net = NstNet.initialize(NstConfig(), seed=0)
+        seen = []
+
+        def recording_adam_step(params, state):
+            adam_step(params, state)
+            seen.append((state, _optimizer_state(net.params, state)))
+
+        def nan_on_third_step(*args, **kwargs):
+            loss, parts = nst_objective(*args, **kwargs)
+            return (loss * np.nan if len(seen) == 2 else loss), parts
+
+        monkeypatch.setattr(training, "adam_step", recording_adam_step)
+        monkeypatch.setattr(training, "nst_objective", nan_on_third_step)
+        with pytest.raises(TrainingError, match="non-finite stylization loss nan at step 2"):
+            train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=5)
+        assert len(seen) == 2
+        adam, before = seen[-1]
+        assert adam.step_count == 2
+        _assert_untouched(net.params, adam, before)
+
+    @pytest.mark.parametrize("as_tensor", [
+        lambda a: Tensor(a),
+        lambda a: Tensor(a.astype(np.float32)),
+    ], ids=["float64", "float32"])
+    def test_tensor_images_train_like_arrays(self, as_tensor):
+        """Tensor images give the array run's trace and parameters bit for bit: a
+        float64 Tensor is cast to the net's float32 like a float64 array."""
+        style, content = self._pair(13)
+        extractor = FeatureExtractor(seed=0)
+        arrays = NstNet.initialize(NstConfig(), seed=1)
+        tensors = NstNet.initialize(NstConfig(), seed=1)
+        want = train_nst_pair(arrays, extractor, style, content, steps=3)
+        got = train_nst_pair(tensors, extractor, as_tensor(style), as_tensor(content), steps=3)
+        assert got == want
+        for (name, a), b in zip(arrays.params.items(), tensors.params.values()):
+            assert b.data.dtype == np.float32, name
+            assert a.data.tobytes() == b.data.tobytes(), name
+
     def test_frozen_encoders_run_once_per_call(self, monkeypatch):
         style, content = self._pair(8)
         net = NstNet.initialize(NstConfig(), seed=0)
@@ -732,8 +813,53 @@ class TestTrainNstPair:
             assert taped.params["style_enc.conv0.kernel"].grad is not None
             clip_gradients(subset, 10.0)
             adam_step(subset, adam)
-            taped.params.zero_grad()
+            for p in taped.params.values():
+                p.grad = None
             want.append(loss.item())
         assert trace == want
         for (name, a), b in zip(frozen.params.items(), taped.params.values()):
             assert np.array_equal(a.data, b.data), name
+
+
+class TestStepHooks:
+    """The names ``perfbench`` swaps in ``training``'s globals: ``Graph`` (the
+    ``nst_train`` workload stamps each step's start by subclassing it) and the
+    loss, clip and Adam functions its tracer wraps. Each step must create one
+    graph before its forward, then call the loss, the clip and Adam once."""
+
+    @staticmethod
+    def _record(monkeypatch, loss_name, forward):
+        events = []
+
+        class CountingGraph(Graph):
+            def __init__(self):
+                events.append("graph")
+                super().__init__()
+
+        def recording(event, real):
+            def wrapped(*args, **kwargs):
+                events.append(event)
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(training, "Graph", CountingGraph)
+        for event, name in (("loss", loss_name), ("clip", "clip_gradients"),
+                            ("adam", "adam_step")):
+            monkeypatch.setattr(training, name, recording(event, getattr(training, name)))
+        owner, method = forward
+        monkeypatch.setattr(owner, method, recording("forward", getattr(owner, method)))
+        return events
+
+    def test_train_steps_through_the_hooks(self, corpus, monkeypatch):
+        events = self._record(monkeypatch, "weighted_l1_loss",
+                              (FontNet, "forward_generate"))
+        train(TrainConfig(steps=2, seed=1, **MICRO_TRAIN), corpus)
+        assert events == ["graph", "forward", "loss", "clip", "adam"] * 2
+
+    def test_train_nst_pair_steps_through_the_hooks(self, monkeypatch):
+        events = self._record(monkeypatch, "nst_objective", (NstNet, "decode"))
+        rng = np.random.default_rng(14)
+        style, content = rng.uniform(size=(2, 1, 3, 16, 16))
+        train_nst_pair(NstNet.initialize(NstConfig(), seed=0), FeatureExtractor(seed=0),
+                       style, content, steps=3)
+        assert events == ["graph", "forward", "loss", "clip", "adam"] * 3
