@@ -131,9 +131,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, exponent):
-        return pow_scalar(self, exponent)
-
     def __getitem__(self, index):
         return take(self, index)
 
@@ -332,17 +329,6 @@ def neg(a) -> Tensor:
 
     def vjp(g, needs):
         return (-g,)
-
-    return _record(out, (a,), vjp)
-
-
-def pow_scalar(a, exponent) -> Tensor:
-    a = as_tensor(a)
-    p = float(exponent)
-    out = Tensor(a.data ** p)
-
-    def vjp(g, needs):
-        return (g * p * a.data ** (p - 1.0),)
 
     return _record(out, (a,), vjp)
 

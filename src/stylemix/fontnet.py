@@ -10,9 +10,10 @@ which is the mixer output itself; the final 5x5 stride-1 deconvolution maps
 to one channel through a sigmoid.
 
 ``Model`` is what every network here shares (``FontNet``, and ``NstNet`` and
-the loss ``FeatureExtractor`` in ``nst``): a config, float32 tensors in
-``NetworkParams``, seeding, and one checkpoint state that ``from_state``
-validates (``read_config``, ``check_state``, ``check_finite``) and loads.
+the loss ``FeatureExtractor`` in ``nst``): a config, float32 tensors declared
+once through an initializer (``SeededInit``, or ``ShapeInit``'s placeholders),
+seeding, and one checkpoint state that ``from_state`` validates
+(``read_config``, ``check_state``, ``check_finite``) and loads.
 """
 
 from __future__ import annotations
@@ -100,33 +101,6 @@ class FontNetConfig:
         return self.encoder_channels[-1]
 
 
-class NetworkParams:
-    """Ordered, uniquely named collection of trainable tensors."""
-
-    def __init__(self):
-        self._tensors: dict = {}
-
-    def add(self, name: str, array: np.ndarray) -> Tensor:
-        """A trainable float32 copy of ``array`` (no copy if it is float32), kept as ``name``."""
-        if name in self._tensors:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        tensor = Tensor(np.asarray(array, dtype=np.float32), requires_grad=True)
-        self._tensors[name] = tensor
-        return tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
-
-    def names(self):
-        return self._tensors.keys()
-
-    def items(self):
-        return self._tensors.items()
-
-    def values(self):
-        return self._tensors.values()
-
-
 def config_record(config) -> np.ndarray:
     """A config dataclass as the UTF-8 bytes of its JSON, one value per byte.
 
@@ -135,21 +109,46 @@ def config_record(config) -> np.ndarray:
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float64)
 
 
-def normal_draw(rng: np.random.Generator):
-    """``draw(shape, std)`` for a model's ``_build``: ``rng.normal(0, std, shape)``
-    rounded to float32, bit for bit.
+class SeededInit:
+    """Where a model's ``_layers`` take every tensor from, all float32:
+    ``normal(shape, std)`` is ``rng.normal(0, std, shape)`` rounded to float32
+    bit for bit, and ``const(shape, value)`` is ``value`` broadcast to ``shape``.
 
-    Each draw fills a float32 array one leading slice at a time. The generator
-    produces the same values in the same order whatever the slicing, so no
-    whole-tensor float64 copy is ever held (16 MiB for the 128^3 mixer).
+    Each normal draw fills a float32 array one leading slice at a time. The
+    generator produces the same values in the same order whatever the slicing,
+    so no whole-tensor float64 copy is ever held (16 MiB for the 128^3 mixer).
     """
-    def draw(shape, std):
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def normal(self, shape, std) -> np.ndarray:
         out = np.empty(shape, dtype=np.float32)
         for i in range(out.shape[0]):
-            out[i] = rng.normal(0.0, std, size=out.shape[1:])
+            out[i] = self.rng.normal(0.0, std, size=out.shape[1:])
         return out
 
-    return draw
+    def const(self, shape, value) -> np.ndarray:
+        return np.full(shape, value, dtype=np.float32)
+
+
+class ShapeInit:
+    """Zero-stride float32 views in place of every tensor, for ``from_state`` to
+    compare shapes with: a record describing a huge net allocates nothing. A
+    shape numpy cannot index even as a view raises ValueError naming ``key``,
+    the record that describes it."""
+
+    def __init__(self, key: str):
+        self.key = key
+
+    def normal(self, shape, _) -> np.ndarray:
+        try:
+            return np.broadcast_to(np.float32(0), shape)
+        except ValueError:  # numpy's own message names no tensor: "iterator is too large"
+            raise ValueError(f"{self.key} describes a tensor of shape {shape}, "
+                             f"too large to index") from None
+
+    const = normal
 
 
 def _same_kind(value, default) -> bool:
@@ -224,34 +223,36 @@ class Model:
     """A network's config, float32 parameters and batch-norm buffers.
 
     A subclass names its ``config_type``, the ``record_key`` its config is
-    saved under and the ``seed_tag`` of its weight stream, and declares its
-    tensors in ``_layers(draw)``.
+    saved under and the ``seed_tag`` of its weight stream, and declares every
+    tensor in ``_layers(init)``, each one taken from ``init.normal(shape, std)``
+    or ``init.const(shape, value)`` (``SeededInit`` or ``ShapeInit``).
     """
 
     config_type: type
     record_key: str
     seed_tag: int
 
-    def __init__(self, config, draw):
-        """The model with each random weight taken from ``draw(shape, std)``.
-
-        Tensors are float32, the precision the checkpoint stores; ``draw``
-        returns float32 (``normal_draw``).
-        """
+    def __init__(self, config, init):
         self.config = config
-        self.params = NetworkParams()
+        self.params: dict = {}  # name -> trainable Tensor
         self.buffers: dict = {}  # name -> ChannelStats
-        self._layers(draw)
+        self._layers(init)
 
     @classmethod
     def initialize(cls, config, seed: int = 0):
-        return cls._build(config, normal_draw(np.random.default_rng([cls.seed_tag, seed])))
+        return cls._build(config, SeededInit(np.random.default_rng([cls.seed_tag, seed])))
 
     @classmethod
-    def _build(cls, config, draw):
+    def _build(cls, config, init):
         model = cls.__new__(cls)  # past a subclass __init__ that takes a seed
-        Model.__init__(model, config, draw)
+        Model.__init__(model, config, init)
         return model
+
+    def _add(self, name: str, array: np.ndarray) -> None:
+        """Keep ``array``, as the initializer made it, as the trainable parameter ``name``."""
+        if name in self.params:
+            raise ValueError(f"duplicate parameter name {name!r}")
+        self.params[name] = Tensor(array, requires_grad=True)
 
     # -- checkpoint state ----------------------------------------------------
 
@@ -271,9 +272,7 @@ class Model:
         A bad config record or tensor set raises ValueError; a tensor that is
         not finite in float32 raises :class:`CheckpointError`."""
         config = read_config(cls.config_type, arrays, cls.record_key)
-        # zero-stride placeholders: a record describing a huge net allocates
-        # nothing before check_state refuses the file
-        model = cls._build(config, lambda shape, std: np.broadcast_to(np.float32(0), shape))
+        model = cls._build(config, ShapeInit(cls.record_key))
         check_state(model.state_arrays(), arrays, cls.record_key)
         check_finite(arrays)
         for name, tensor in model.params.items():
@@ -300,28 +299,28 @@ class FontNet(Model):
     record_key = "meta.font"
     seed_tag = 809
 
-    def _layers(self, draw) -> None:
-        config, add = self.config, self.params.add
+    def _layers(self, init) -> None:
+        config, add = self.config, self._add
         std = config.init_std
 
         def batch_norm(name, cout):
-            add(f"{name}.gamma", np.ones(cout))
-            add(f"{name}.beta", np.zeros(cout))
-            self.buffers[name] = ChannelStats(np.zeros(cout, dtype=np.float32),
-                                              np.ones(cout, dtype=np.float32))
+            add(f"{name}.gamma", init.const((cout,), 1.0))
+            add(f"{name}.beta", init.const((cout,), 0.0))
+            self.buffers[name] = ChannelStats(init.const((cout,), 0.0),
+                                              init.const((cout,), 1.0))
 
         enc = config.encoder_channels
         for prefix in ("style_enc", "content_enc"):
             cin = config.ref_count
             for i, cout in enumerate(enc):
                 k = 5 if i == 0 else 3
-                add(f"{prefix}.{i}.kernel", draw((cout, cin, k, k), std))
-                add(f"{prefix}.{i}.bias", np.zeros(cout))
+                add(f"{prefix}.{i}.kernel", init.normal((cout, cin, k, k), std))
+                add(f"{prefix}.{i}.bias", init.const((cout,), 0.0))
                 batch_norm(f"{prefix}.{i}", cout)
                 cin = cout
 
         code = config.code_dim
-        add("mixer.tensor", draw((code, code, code), std))
+        add("mixer.tensor", init.normal((code, code, code), std))
 
         dec = config.decoder_channels
         cin = code
@@ -329,14 +328,14 @@ class FontNet(Model):
             if j >= 1:
                 cin += enc[config.depth - 1 - j]  # skip concat widens the input
             # deconv kernels are laid out (Cin, Cout, k, k)
-            add(f"decoder.{j}.kernel", draw((cin, cout, 3, 3), std))
-            add(f"decoder.{j}.bias", np.zeros(cout))
+            add(f"decoder.{j}.kernel", init.normal((cin, cout, 3, 3), std))
+            add(f"decoder.{j}.bias", init.const((cout,), 0.0))
             batch_norm(f"decoder.{j}", cout)
             cin = cout
         last = config.depth - 1
         cin = (dec[-1] if dec else code) + enc[0]
-        add(f"decoder.{last}.kernel", draw((cin, 1, 5, 5), std))
-        add(f"decoder.{last}.bias", np.zeros(1))
+        add(f"decoder.{last}.kernel", init.normal((cin, 1, 5, 5), std))
+        add(f"decoder.{last}.bias", init.const((1,), 0.0))
 
     # -- forward ops ---------------------------------------------------------
 

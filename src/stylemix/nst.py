@@ -31,7 +31,7 @@ from stylemix.autodiff import (
     sqrt,
     upsample_nearest,
 )
-from stylemix.fontnet import Model, normal_draw
+from stylemix.fontnet import Model, SeededInit
 
 STAT_EPSILON = 1e-8
 
@@ -176,23 +176,9 @@ def tv_loss(image: Tensor) -> Tensor:
     return total / image.size
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    content: float = 1.0
-    style: float = 5.0
-    tv: float = 1e-5
-
-    def __post_init__(self):
-        if self.content < 0 or self.style < 0 or self.tv < 0:
-            raise ValueError(f"loss weights must be >= 0, got {self}")
-
-
-def total_loss(content: Tensor, style: Tensor, tv: Tensor,
-               weights: LossWeights = LossWeights()) -> Tensor:
-    """Weighted combination of the content, style, and smoothness terms."""
-    return (as_tensor(content) * weights.content
-            + as_tensor(style) * weights.style
-            + as_tensor(tv) * weights.tv)
+def total_loss(content: Tensor, style: Tensor, tv: Tensor) -> Tensor:
+    """The content, style and smoothness terms weighted 1 : 5 : 1e-5."""
+    return as_tensor(content) * 1.0 + as_tensor(style) * 5.0 + as_tensor(tv) * 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +255,12 @@ class NstNet(Model):
     record_key = "meta.nst"
     seed_tag = 811
 
-    def _layers(self, draw) -> None:
-        config, add = self.config, self.params.add
+    def _layers(self, init) -> None:
+        config, add = self.config, self._add
 
         def conv(name, cin, cout, k):
-            add(f"{name}.kernel", draw((cout, cin, k, k), _he_std(cin, k)))
-            add(f"{name}.bias", np.zeros(cout))
+            add(f"{name}.kernel", init.normal((cout, cin, k, k), _he_std(cin, k)))
+            add(f"{name}.bias", init.const((cout,), 0.0))
 
         def res_block(name, c, k):
             conv(f"{name}.conv0", c, c, k)
@@ -290,11 +276,9 @@ class NstNet(Model):
                 res_block(f"{prefix}.res{i}", cin, config.conv_plan[-1][0])
 
         c_mix = config.mix_channels
-        add("style_enc.fc.weight", draw((2 * c_mix, c_mix), np.sqrt(1.0 / c_mix)))
-        # std head starts at 1 so the initial mixing is scale-preserving
-        fc_b = np.zeros(2 * c_mix)
-        fc_b[c_mix:] = 1.0
-        add("style_enc.fc.bias", fc_b)
+        add("style_enc.fc.weight", init.normal((2 * c_mix, c_mix), np.sqrt(1.0 / c_mix)))
+        # mean head 0, std head 1, so the initial mixing is scale-preserving
+        add("style_enc.fc.bias", init.const((2, c_mix), [[0.0], [1.0]]).reshape(2 * c_mix))
 
         for i in range(config.n_content_res):
             res_block(f"decoder.res{i}", c_mix, config.conv_plan[-1][0])
@@ -449,14 +433,14 @@ class FeatureExtractor(Model):
     seed_tag = 813
 
     def __init__(self, config: ExtractorConfig = ExtractorConfig(), seed: int = 0):
-        super().__init__(config, normal_draw(np.random.default_rng([self.seed_tag, seed])))
+        super().__init__(config, SeededInit(np.random.default_rng([self.seed_tag, seed])))
 
-    def _layers(self, draw) -> None:
+    def _layers(self, init) -> None:
         cin = self.config.image_channels
         k = self.config.kernel
         for i, cout in enumerate(self.config.stage_channels):
-            self.params.add(f"stage{i}.kernel", draw((cout, cin, k, k), _he_std(cin, k)))
-            self.params.add(f"stage{i}.bias", np.zeros(cout))
+            self._add(f"stage{i}.kernel", init.normal((cout, cin, k, k), _he_std(cin, k)))
+            self._add(f"stage{i}.bias", init.const((cout,), 0.0))
             cin = cout
         for tensor in self.params.values():
             tensor.requires_grad = False

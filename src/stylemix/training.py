@@ -307,12 +307,13 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
 
     Deterministic for a fixed config and corpus in single-threaded execution.
     Appends "step,loss,wall_ms" lines to ``log_path`` when given; aborts with
-    a diagnostic on a non-finite loss. Before the log is opened or any
-    update, raises TrainingError when the net's r or image size differs from
-    the run's, CorpusError when the corpus cannot supply its batches, and
-    ValueError when Adam's learning rate is not finite in the parameters'
-    dtype. To evaluate mid-run, call ``evaluate`` between runs that pass
-    ``start_step``, ``net`` and ``adam`` on.
+    a diagnostic on a non-finite loss, leaving the net (its batch-norm running
+    statistics included) and Adam as the last good step left them. Before the
+    log is opened or any update, raises TrainingError when the net's r or
+    image size differs from the run's, CorpusError when the corpus cannot
+    supply its batches, and ValueError when Adam's learning rate is not finite
+    in the parameters' dtype. To evaluate mid-run, call ``evaluate`` between
+    runs that pass ``start_step``, ``net`` and ``adam`` on.
     """
     check_training_draw(corpus, config.n_t, config.r, config.batch_size)
     if net is None:
@@ -344,6 +345,8 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
                 corpus, config.n_t, config.r, config.batch_size, config.seed, step
             )
             style_x, content_x, targets = stack_triplets(triplets)
+            # train-mode batch-norm rebinds these in the forward, before the loss is checked
+            running = [(stats, stats.mean, stats.std) for stats in net.buffers.values()]
 
             def batch_loss():
                 generated = net.forward_generate(style_x, content_x, mode="train")
@@ -355,6 +358,8 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
             if log_file:
                 log_file.write(f"{step},{loss_value:.10g},{wall_ms:.1f}\n")
     except NonFiniteLoss as error:
+        for stats, mean, std in running:  # a refused step moves no running statistic
+            stats.mean, stats.std = mean, std
         ids = [(t.style_id, t.content_id) for t in triplets]
         raise TrainingError(
             f"non-finite loss {error.value} at step {step} on batch {ids}") from None

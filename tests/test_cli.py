@@ -1,15 +1,21 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stylemix
 from stylemix import netpbm
 from stylemix.autodiff import Tensor
 from stylemix.cli import main
-from stylemix.fontnet import FontNet
-from stylemix.nst import NstNet
+from stylemix.fontnet import FontNet, config_record
+from stylemix.nst import NstConfig, NstNet
 from stylemix.training import load_checkpoint, save_checkpoint
 
 
@@ -289,6 +295,27 @@ class TestNstCommand:
                  "--ckpt", str(bad), "--alpha", "0.5", "--out", str(tmp_path / "x.ppm"))
         assert rc == 3
         assert "meta.nst" in capsys.readouterr().err
+
+    def test_huge_record_is_a_data_error_within_4_gb(self, corpus_dir, nst_ckpt, tmp_path):
+        """A record 10**12 channels wide exits 3 naming meta.nst. The run is capped
+        at 4 GB of address space, so an allocation of what the record describes
+        fails at once instead of exhausting the machine."""
+        arrays = load_checkpoint(nst_ckpt)
+        arrays["meta.nst"] = config_record(
+            NstConfig(conv_plan=((3, 1, 16), (3, 2, 32), (3, 2, 10 ** 12))))
+        bad = tmp_path / "huge.ckpt"
+        save_checkpoint(bad, arrays)
+        limit = 4 * 10 ** 9
+        result = subprocess.run(
+            [sys.executable, "-m", "stylemix.cli", "nst",
+             "--style", str(corpus_dir / "style0000_content0000.pgm"),
+             "--content", str(corpus_dir / "style0001_content0001.pgm"),
+             "--ckpt", str(bad), "--alpha", "0.5", "--out", str(tmp_path / "x.ppm")],
+            env={**os.environ, "PYTHONPATH": str(Path(stylemix.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 3, result.stderr
+        assert "meta.nst" in result.stderr
 
     def test_nan_kernel_is_a_data_error_and_writes_nothing(self, corpus_dir, nst_ckpt,
                                                            tmp_path, capsys):

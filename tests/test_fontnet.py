@@ -12,9 +12,9 @@ from stylemix.fontnet import (
     CheckpointError,
     FontNet,
     FontNetConfig,
-    NetworkParams,
+    SeededInit,
+    ShapeInit,
     config_record,
-    normal_draw,
 )
 from stylemix.nst import ExtractorConfig, FeatureExtractor, NstConfig, NstNet
 from stylemix.training import load_checkpoint, save_checkpoint
@@ -82,10 +82,9 @@ class TestConfig:
 
 class TestNetworkParams:
     def test_names_unique(self):
-        params = NetworkParams()
-        params.add("a", np.zeros(2))
+        net = FontNet.initialize(FontNetConfig(image_size=8, base_channels=2, ref_count=2))
         with pytest.raises(ValueError, match="duplicate"):
-            params.add("a", np.zeros(2))
+            net._add("mixer.tensor", np.zeros(2, dtype=np.float32))
 
     def test_every_tensor_requires_grad(self):
         net = FontNet.initialize(FontNetConfig(image_size=8, base_channels=2, ref_count=2))
@@ -301,7 +300,7 @@ def test_every_model_rejects_a_state_not_finite_in_float32(value):
     for model in (FontNet.initialize(CUSTOM_FONT), NstNet.initialize(NstConfig()),
                   FeatureExtractor()):
         state = {name: np.array(a, dtype=np.float64) for name, a in model.state_arrays().items()}
-        name = list(model.params.names())[-1]
+        name = list(model.params)[-1]
         state[name].flat[0] = value
         with pytest.raises(CheckpointError, match=repr(name)):
             type(model).from_state(state)
@@ -318,24 +317,33 @@ def test_every_model_refuses_a_huge_record_without_allocating_it():
                                              kernel=101)),
     )
     for model, huge in cases:
-        shapes = [t.shape for t in type(model)._build(
-            huge, lambda shape, std: np.broadcast_to(np.float32(0), shape)).params.values()]
+        placeholders = type(model)._build(huge, ShapeInit(model.record_key))
+        shapes = [t.shape for t in placeholders.params.values()]
         assert 4 * sum(float(np.prod(shape, dtype=np.float64)) for shape in shapes) > 2 ** 47
         state = model.state_arrays()
         state[model.record_key] = config_record(huge)
-        with pytest.raises(ValueError, match="has shape"):
-            type(model).from_state(state)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="has shape"):
+                type(model).from_state(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, type(model).__name__
 
 
-def _whole_draw(rng):
-    """The whole-tensor draw, rounded to float32 once: the reference for normal_draw."""
-    return lambda shape, std: rng.normal(0.0, std, size=shape).astype(np.float32)
+class _WholeDraw(SeededInit):
+    """The whole-tensor draw, rounded to float32 once: the reference for SeededInit."""
+
+    def normal(self, shape, std):
+        return self.rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
 class TestWeightDraw:
     @pytest.mark.parametrize("shape", [(7,), (0, 3), (5, 4), (6, 3, 5, 5), (9, 9, 9)])
     def test_sliced_draw_equals_the_whole_draw(self, shape):
-        draw, whole = normal_draw(np.random.default_rng(3)), _whole_draw(np.random.default_rng(3))
+        draw = SeededInit(np.random.default_rng(3)).normal
+        whole = _WholeDraw(np.random.default_rng(3)).normal
         for std in (0.02, 1.5):  # consecutive draws continue one stream
             got = draw(shape, std)
             assert got.dtype == np.float32
@@ -346,16 +354,16 @@ class TestWeightDraw:
         """FontNet, NstNet and FeatureExtractor draw rng.normal(0, std, shape) in float32."""
         for config in (FontNetConfig(), CUSTOM_FONT):
             got = FontNet.initialize(config, seed=seed).state_arrays()
-            want = FontNet._build(config, _whole_draw(np.random.default_rng([809, seed])))
+            want = FontNet._build(config, _WholeDraw(np.random.default_rng([809, seed])))
             for name, array in want.state_arrays().items():
                 assert array.tobytes() == got[name].tobytes(), name
         got = NstNet.initialize(NstConfig(), seed=seed).state_arrays()
-        want = NstNet._build(NstConfig(), _whole_draw(np.random.default_rng([811, seed])))
+        want = NstNet._build(NstConfig(), _WholeDraw(np.random.default_rng([811, seed])))
         for name, array in want.state_arrays().items():
             assert array.tobytes() == got[name].tobytes(), name
         got = FeatureExtractor(ExtractorConfig(), seed=seed).state_arrays()
         want = FeatureExtractor._build(ExtractorConfig(),
-                                       _whole_draw(np.random.default_rng([813, seed])))
+                                       _WholeDraw(np.random.default_rng([813, seed])))
         for name, array in want.state_arrays().items():
             assert array.tobytes() == got[name].tobytes(), name
 

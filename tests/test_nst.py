@@ -14,7 +14,6 @@ from stylemix.autodiff import ChannelStats, Graph, ShapeError, Tensor
 from stylemix.nst import (
     ExtractorConfig,
     FeatureExtractor,
-    LossWeights,
     NstConfig,
     NstNet,
     channel_stats,
@@ -286,18 +285,9 @@ class TestTotalLoss:
         z = Tensor(0.0)
         assert total_loss(z, z, z).item() == 0.0
 
-    def test_content_only(self):
-        weights = LossWeights(content=2.0, style=0.0, tv=0.0)
-        got = total_loss(Tensor(3.0), Tensor(10.0), Tensor(10.0), weights)
-        assert got.item() == 6.0
-
     def test_default_weights_arithmetic(self):
         got = total_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0))
         assert np.isclose(got.item(), 6.00001)
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError, match="weights"):
-            LossWeights(content=-1.0)
 
 
 @pytest.fixture(scope="module")

@@ -449,7 +449,7 @@ class TestTrain:
         net = train(TrainConfig(steps=2, seed=2, **MICRO_TRAIN), corpus, adam=adam).net
         assert grad_dtypes == {np.dtype(np.float32)}
         assert {t.data.dtype for t in net.params.values()} == {np.dtype(np.float32)}
-        assert set(adam.m) == set(adam.v) == set(net.params.names())
+        assert set(adam.m) == set(adam.v) == set(net.params)
         assert {a.dtype for a in [*adam.m.values(), *adam.v.values()]} == {
             np.dtype(np.float32)}
         assert {a.dtype for s in net.buffers.values() for a in (s.mean, s.std)} == {
@@ -479,8 +479,8 @@ class TestTrain:
             train(config, corpus, net=net)
 
     def test_nonfinite_loss_updates_nothing(self, corpus, monkeypatch):
-        """The refused step leaves parameters, Adam's state and every gradient as
-        the last good step left them."""
+        """The refused step leaves parameters, Adam's state, every gradient and the
+        batch-norm running statistics as the last good step left them."""
         net = FontNet.initialize(
             FontNetConfig(image_size=16, base_channels=4, ref_count=2), seed=3
         )
@@ -488,6 +488,8 @@ class TestTrain:
         train(TrainConfig(steps=1, seed=3, **MICRO_TRAIN), corpus, net=net, adam=adam)
         assert adam.step_count == 1 and adam.m
         before = _optimizer_state(net.params, adam)
+        running = {name: [(a, a.tobytes()) for a in (stats.mean, stats.std)]
+                   for name, stats in net.buffers.items()}
         monkeypatch.setattr(training, "weighted_l1_loss",
                             lambda generated, targets: weighted_l1_loss(generated, targets)
                             * np.nan)
@@ -495,6 +497,9 @@ class TestTrain:
             train(TrainConfig(steps=2, start_step=1, seed=3, **MICRO_TRAIN), corpus,
                   net=net, adam=adam)
         _assert_untouched(net.params, adam, before)
+        for name, stats in net.buffers.items():
+            for now, (then, raw) in zip((stats.mean, stats.std), running[name]):
+                assert now is then and now.tobytes() == raw, name
 
     def test_mismatched_ref_count_rejected(self, corpus):
         net = FontNet.initialize(
@@ -641,7 +646,7 @@ class TestTrainNstPair:
 
         monkeypatch.setattr(training, "adam_step", spy)
         train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=2)
-        decoder = {name for name in net.params.names() if name.startswith("decoder.")}
+        decoder = {name for name in net.params if name.startswith("decoder.")}
         assert len(steps) == 2
         for step_flags, with_grad in steps:
             assert step_flags == flags
@@ -751,7 +756,7 @@ class TestTrainNstPair:
         assert {t.data.dtype for t in net.params.values()} == {np.dtype(np.float32)}
         adam = states[0]
         assert set(adam.m) == set(adam.v) == {
-            name for name in net.params.names() if name.startswith("decoder.")}
+            name for name in net.params if name.startswith("decoder.")}
         assert {a.dtype for a in [*adam.m.values(), *adam.v.values()]} == {
             np.dtype(np.float32)}
 
