@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ DARKNESS_RANGE = (0.4, 1.0)
 
 MANIFEST_NAME = "manifest.txt"
 _MANIFEST_MAGIC = "stylemix-corpus 1"
+_SPLIT_KEYS = ("known_styles", "novel_styles", "known_contents", "novel_contents")
 
 # seed-stream tags keep the derived generators statistically independent
 _STYLE_TAG = 101
@@ -366,6 +368,24 @@ def image_filename(style_id: int, content_id: int) -> str:
     return f"style{style_id:04d}_content{content_id:04d}.pgm"
 
 
+def _manifest_lines(corpus: Corpus) -> list:
+    """The manifest's lines: the magic, the four header numbers that determine the
+    corpus (seed, style and content counts, image size), the four id lists of its
+    split, then one line of parameters per style."""
+    cfg, part = corpus.config, corpus.partition
+    return [
+        _MANIFEST_MAGIC,
+        f"seed {cfg.seed}",
+        f"styles {cfg.n_styles}",
+        f"contents {cfg.n_contents}",
+        f"size {cfg.image_size}",
+        *(f"{key} " + " ".join(map(str, getattr(part, key))) for key in _SPLIT_KEYS),
+        *(f"style {spec.style_id} thickness {spec.stroke_thickness!r} "
+          f"slant {spec.slant!r} scale {spec.scale!r} darkness {spec.darkness!r}"
+          for spec in corpus.styles),
+    ]
+
+
 def export_corpus(corpus: Corpus, out_dir) -> Path:
     """Write every grid image as an 8-bit PGM plus a reproducibility manifest.
 
@@ -375,85 +395,47 @@ def export_corpus(corpus: Corpus, out_dir) -> Path:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = corpus.config
     for i, style in enumerate(corpus.styles):
         for j, glyph in enumerate(corpus.glyphs):
-            image = render_glyph(style, glyph, cfg.image_size)
+            image = render_glyph(style, glyph, corpus.config.image_size)
             netpbm.write_pgm(out / image_filename(i, j), image)
-    part = corpus.partition
-    lines = [
-        _MANIFEST_MAGIC,
-        f"seed {cfg.seed}",
-        f"styles {cfg.n_styles}",
-        f"contents {cfg.n_contents}",
-        f"size {cfg.image_size}",
-        "known_styles " + " ".join(map(str, part.known_styles)),
-        "novel_styles " + " ".join(map(str, part.novel_styles)),
-        "known_contents " + " ".join(map(str, part.known_contents)),
-        "novel_contents " + " ".join(map(str, part.novel_contents)),
-    ]
-    for spec in corpus.styles:
-        lines.append(
-            f"style {spec.style_id} thickness {spec.stroke_thickness!r} "
-            f"slant {spec.slant!r} scale {spec.scale!r} darkness {spec.darkness!r}"
-        )
     manifest = out / MANIFEST_NAME
-    manifest.write_text("\n".join(lines) + "\n", encoding="ascii")
+    manifest.write_text("\n".join(_manifest_lines(corpus)) + "\n", encoding="ascii")
     return manifest
 
 
 def load_corpus(corpus_dir) -> Corpus:
-    """Rebuild a corpus from its manifest, verifying split and style integrity."""
+    """Rebuild a corpus from its manifest's header and accept the manifest only
+    if it is, line for line, the one ``export_corpus`` writes for that corpus.
+
+    The first line that differs raises CorpusError naming the file and the line,
+    so a tampered split or style, a blank, reordered or duplicated line all fail.
+    """
     manifest = Path(corpus_dir) / MANIFEST_NAME
     if not manifest.is_file():
         raise CorpusError(f"no {MANIFEST_NAME} found in {corpus_dir}")
     lines = manifest.read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != _MANIFEST_MAGIC:
         raise CorpusError(f"{manifest}: not a corpus manifest (bad first line)")
-    fields: dict = {}
-    style_params: dict = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        key = parts[0]
-        try:
-            if key in ("seed", "styles", "contents", "size"):
-                fields[key] = int(parts[1])
-            elif key in ("known_styles", "novel_styles", "known_contents", "novel_contents"):
-                fields[key] = tuple(int(v) for v in parts[1:])
-            elif key == "style":
-                style_params[int(parts[1])] = (
-                    float(parts[3]), float(parts[5]), float(parts[7]), float(parts[9])
-                )
-            else:
-                raise CorpusError(f"{manifest}:{lineno}: unknown field {key!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, CorpusError):
-                raise
-            raise CorpusError(f"{manifest}:{lineno}: malformed line {line!r}") from None
-    for key in ("seed", "styles", "contents", "size"):
-        if key not in fields:
-            raise CorpusError(f"{manifest}: missing field {key!r}")
-    corpus = Corpus(CorpusConfig(
-        n_styles=fields["styles"],
-        n_contents=fields["contents"],
-        image_size=fields["size"],
-        seed=fields["seed"],
-    ))
-    part = corpus.partition
-    recorded = (
-        fields.get("known_styles"), fields.get("novel_styles"),
-        fields.get("known_contents"), fields.get("novel_contents"),
-    )
-    derived = (part.known_styles, part.novel_styles,
-               part.known_contents, part.novel_contents)
-    if recorded != derived:
-        raise CorpusError(f"{manifest}: recorded split does not match seed-derived split")
-    for spec in corpus.styles:
-        if style_params.get(spec.style_id) != spec.as_tuple():
-            raise CorpusError(
-                f"{manifest}: style {spec.style_id} parameters do not match "
-                f"seed-derived values"
-            )
+    header = []
+    for lineno, key in enumerate(("seed", "styles", "contents", "size"), start=2):
+        line = lines[lineno - 1] if lineno <= len(lines) else ""
+        name, _, value = line.partition(" ")
+        if name != key or not value.isdigit():
+            raise CorpusError(f"{manifest}:{lineno}: expected '{key} <integer>', got {line!r}")
+        header.append(int(value))
+    seed, n_styles, n_contents, size = header
+    corpus = Corpus(CorpusConfig(n_styles=n_styles, n_contents=n_contents,
+                                 image_size=size, seed=seed))
+    expected = _manifest_lines(corpus)
+    for lineno, (got, want) in enumerate(zip_longest(lines, expected), start=1):
+        if got != want:
+            words = (want or "").split(" ")
+            what = ("a line past the last style" if want is None
+                    else f"recorded {words[0]} split" if words[0] in _SPLIT_KEYS
+                    else f"{' '.join(words[:2])} line" if words[0] == "style"
+                    else f"{words[0]} line")
+            raise CorpusError(f"{manifest}:{lineno}: {what} " + (
+                "is missing" if got is None else "does not match the manifest "
+                "regenerated from seed, styles, contents and size"))
     return corpus

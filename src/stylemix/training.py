@@ -20,6 +20,7 @@ import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,6 +38,14 @@ ADAM_BLOCK = 16384  # elements per Adam block: two float32 scratch buffers of 64
 # 12.44 for 8. It costs speed: on 2 vCPUs with 1 BLAS thread, 8 items cut font_eval
 # op_ms_p50 171-178 -> 141-148 ms, at peak_rss_mb 73.0 -> 81.7-83.2 MB (3 run pairs).
 EVAL_BATCH = 3
+# Adam's moment decays and denominator guard: Kingma & Ba's defaults (arXiv 1412.6980,
+# Algorithm 1)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+CLIP_NORM = 5.0  # train()'s cap on the global gradient norm
+NST_LEARNING_RATE = 1e-3  # train_nst_pair()'s Adam rate
+NST_CLIP_NORM = 10.0  # train_nst_pair()'s cap on the decoder's gradient norm
 
 
 class TrainingError(RuntimeError):
@@ -57,24 +66,26 @@ class NonFiniteLoss(TrainingError):
 
 
 def save_checkpoint(path, arrays: dict) -> None:
-    """Atomically write named float arrays as 32-bit little-endian tensors."""
+    """Atomically write named float arrays as 32-bit little-endian tensors.
+
+    Each tensor goes straight from its array into a temporary file, which then
+    replaces ``path``: a float32 C-contiguous array is written without a copy,
+    and no whole-file buffer is built.
+    """
     path = Path(path)
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<HI", CHECKPOINT_VERSION, len(arrays))
-    for name, array in arrays.items():
-        encoded = name.encode("utf-8")
-        array = np.asarray(array)
-        if array.ndim > 255:
-            raise CheckpointError(f"tensor {name!r} rank {array.ndim} exceeds format limit")
-        blob += struct.pack("<H", len(encoded)) + encoded
-        blob += struct.pack("<B", array.ndim)
-        for extent in array.shape:
-            blob += struct.pack("<I", extent)
-        blob += array.astype("<f4").tobytes()
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        partial.write_bytes(bytes(blob))
+        with partial.open("wb") as out:
+            out.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(arrays)))
+            for name, array in arrays.items():
+                encoded = name.encode("utf-8")
+                array = np.asarray(array, dtype="<f4", order="C")
+                if array.ndim > 255:
+                    raise CheckpointError(
+                        f"tensor {name!r} rank {array.ndim} exceeds format limit")
+                out.write(struct.pack(f"<H{len(encoded)}sB{array.ndim}I", len(encoded),
+                                      encoded, array.ndim, *array.shape))
+                out.write(array.data)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -140,23 +151,21 @@ def load_checkpoint(path) -> dict:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers plus hyperparameters.
+    """The learning rate, the step count and the first/second moment buffers.
 
     ``adam_step`` creates each moment buffer C-contiguous with its
     parameter's shape and updates it in place.
     """
 
     learning_rate: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
 def adam_step(params, state: AdamState) -> None:
-    """Bias-corrected Adam update over every parameter's populated gradient.
+    """Bias-corrected Adam update over every parameter's populated gradient,
+    with ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``.
 
     The update runs in each parameter's dtype: its moments, scratch and new
     values take that dtype. It streams each parameter in blocks of
@@ -171,7 +180,7 @@ def adam_step(params, state: AdamState) -> None:
     """
     state.step_count += 1
     t = state.step_count
-    beta1, beta2 = state.beta1, state.beta2
+    beta1, beta2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - beta1 ** t
     correction2 = 1.0 - beta2 ** t
     largest = max((p.data.size for p in params.values()), default=0)
@@ -208,7 +217,7 @@ def adam_step(params, state: AdamState) -> None:
             np.add(vb, a, out=vb)
             np.divide(vb, correction2, out=a)  # v_hat
             np.sqrt(a, out=a)
-            np.add(a, state.epsilon, out=a)
+            np.add(a, ADAM_EPSILON, out=a)
             np.divide(mb, correction1, out=b)  # m_hat
             np.multiply(b, state.learning_rate, out=b)
             np.divide(b, a, out=b)
@@ -263,14 +272,15 @@ def fit_step(params, loss_fn, adam: AdamState, clip_norm: float) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    # triplets per step, a constant rather than a field; it must be at least 2:
+    # train-mode batch-norm at the 1x1 bottleneck sees zero variance in a batch
+    # of one, so the style encoder would get an all-zero gradient
+    batch_size: ClassVar[int] = 4
     steps: int = 2000
     learning_rate: float = 2e-4
-    batch_size: int = 4
     n_t: int = 20000
     r: int = 4
-    base_channels: int = 16
     seed: int = 0
-    clip_norm: float = 5.0
     start_step: int = 0
 
     def __post_init__(self):
@@ -278,14 +288,8 @@ class TrainConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if not self.learning_rate > 0 or not math.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not self.clip_norm > 0:
-            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
         if self.start_step < 0:
             raise ValueError(f"start_step must be >= 0, got {self.start_step}")
-        if self.batch_size < 2:
-            # train-mode batch-norm at the 1x1 bottleneck sees zero variance in
-            # a batch of one, so the style encoder would get an all-zero gradient
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
 
 
 @dataclass
@@ -303,24 +307,26 @@ class SuiteMetrics:
 
 def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
           adam: AdamState | None = None, log_path=None) -> TrainResult:
-    """Optimize the weighted L1 objective over d1 triplets.
+    """Optimize the weighted L1 objective over d1 triplets, clipping the global
+    gradient norm at ``CLIP_NORM``. Without ``net``, it trains a fresh
+    ``FontNetConfig(image_size, ref_count=r)`` net seeded with ``config.seed``.
 
     Deterministic for a fixed config and corpus in single-threaded execution.
-    Appends "step,loss,wall_ms" lines to ``log_path`` when given; aborts with
-    a diagnostic on a non-finite loss, leaving the net (its batch-norm running
-    statistics included) and Adam as the last good step left them. Before the
-    log is opened or any update, raises TrainingError when the net's r or
-    image size differs from the run's, CorpusError when the corpus cannot
-    supply its batches, and ValueError when Adam's learning rate is not finite
-    in the parameters' dtype. To evaluate mid-run, call ``evaluate`` between
-    runs that pass ``start_step``, ``net`` and ``adam`` on.
+    Writes "step,loss,wall_ms" lines to ``log_path`` when given: a run that
+    starts at step 0 replaces the file, one that continues from a later
+    ``start_step`` appends to it. Aborts with a diagnostic on a non-finite
+    loss, leaving the net (its batch-norm running statistics included) and
+    Adam as the last good step left them. Before the log is opened or any
+    update, raises TrainingError when the net's r or image size differs from
+    the run's, CorpusError when the corpus cannot supply its batches, and
+    ValueError when Adam's learning rate is not finite in the parameters'
+    dtype. To evaluate mid-run, call ``evaluate`` between runs that pass
+    ``start_step``, ``net`` and ``adam`` on.
     """
     check_training_draw(corpus, config.n_t, config.r, config.batch_size)
     if net is None:
         net = FontNet.initialize(
-            FontNetConfig(image_size=corpus.config.image_size,
-                          base_channels=config.base_channels,
-                          ref_count=config.r),
+            FontNetConfig(image_size=corpus.config.image_size, ref_count=config.r),
             seed=config.seed,
         )
     if net.config.ref_count != config.r:
@@ -336,7 +342,8 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
     if adam is None:
         adam = AdamState(learning_rate=config.learning_rate)
     _check_rate(adam.learning_rate, net.dtype)
-    log_file = open(log_path, "a", encoding="ascii") if log_path else None
+    mode = "a" if config.start_step else "w"  # a continued run extends its log
+    log_file = open(log_path, mode, encoding="ascii") if log_path else None
     losses: list = []
     try:
         for step in range(config.start_step, config.start_step + config.steps):
@@ -352,7 +359,7 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
                 generated = net.forward_generate(style_x, content_x, mode="train")
                 return weighted_l1_loss(generated, targets)
 
-            loss_value = fit_step(net.params, batch_loss, adam, config.clip_norm)
+            loss_value = fit_step(net.params, batch_loss, adam, CLIP_NORM)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             losses.append(loss_value)
             if log_file:
@@ -403,29 +410,25 @@ def evaluate(net: FontNet, suites: dict) -> dict:
 
 
 def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_img,
-                   steps: int = 500, learning_rate: float = 1e-3,
-                   clip_norm: float = 10.0) -> list:
-    """Fit the decoder on one style/content pair against fixed encoder features.
+                   steps: int = 500) -> list:
+    """Fit the decoder on one style/content pair against fixed encoder features,
+    by Adam at ``NST_LEARNING_RATE`` with the gradient norm clipped at
+    ``NST_CLIP_NORM``.
 
     The encoders and the mixer see the same images every step, so the mixed
     features are computed once, before any graph is active: nothing upstream
     of the decoder is taped, only ``decoder.*`` parameters get a gradient,
     and no parameter's ``requires_grad`` flag is touched.
     The images, arrays or Tensors, are cast to ``net.dtype``, so the whole
-    step computes in the parameters' dtype, and a ``learning_rate`` that is
-    not finite in it raises ValueError. Returns the per-step total-loss trace.
+    step computes in the parameters' dtype. Returns the per-step total-loss
+    trace.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if not learning_rate > 0:
-        raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-    _check_rate(learning_rate, net.dtype)
-    if not clip_norm > 0:
-        raise ValueError(f"clip_norm must be > 0, got {clip_norm}")
     style, content = (Tensor(np.asarray(img.data if isinstance(img, Tensor) else img,
                                         dtype=net.dtype)) for img in (style_img, content_img))
     decoder = {name: p for name, p in net.params.items() if name.startswith("decoder.")}
-    adam = AdamState(learning_rate=learning_rate)
+    adam = AdamState(learning_rate=NST_LEARNING_RATE)
     mixed, sizes = net.mix_features(content, net.style_encode(style))
 
     def pair_loss():
@@ -434,7 +437,7 @@ def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_
     trace: list = []
     try:
         for step in range(steps):
-            trace.append(fit_step(decoder, pair_loss, adam, clip_norm))
+            trace.append(fit_step(decoder, pair_loss, adam, NST_CLIP_NORM))
     except NonFiniteLoss as error:
         raise TrainingError(
             f"non-finite stylization loss {error.value} at step {step}") from None

@@ -90,6 +90,14 @@ class TestTrainCommand:
             step, loss, wall = line.split(",")
             int(step), float(loss), float(wall)
 
+    def test_a_second_run_replaces_the_first_runs_log(self, corpus_dir, tmp_path):
+        out = tmp_path / "f.ckpt"
+        for steps in ("2", "3"):
+            assert run("train", "--corpus", str(corpus_dir), "--r", "2", "--nt", "10",
+                       "--steps", steps, "--out", str(out)) == 0
+        lines = (tmp_path / "f.ckpt.log").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["0", "1", "2"]
+
     def test_same_seed_gives_identical_checkpoint_bytes(self, corpus_dir, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         for out in (a, b):

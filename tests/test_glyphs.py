@@ -361,6 +361,44 @@ class TestExportImport:
         with pytest.raises(CorpusError):
             load_corpus(tmp_path / "e")
 
+    @staticmethod
+    def _refused_line(tmp_path, edit):
+        """Export a corpus, rewrite its manifest's lines with ``edit``, and return
+        the line number that load_corpus's CorpusError names."""
+        manifest = export_corpus(Corpus(CorpusConfig(4, 4, 32, seed=6)), tmp_path / "m")
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(CorpusError, match=r"manifest\.txt:\d+: ") as caught:
+            load_corpus(tmp_path / "m")
+        return int(str(caught.value).split("manifest.txt:")[1].split(":")[0])
+
+    def test_added_blank_line_rejected(self, tmp_path):
+        assert self._refused_line(tmp_path, lambda lines: lines[:7] + [""] + lines[7:]) == 8
+
+    def test_swapped_lines_rejected(self, tmp_path):
+        def swap(lines):
+            lines[6], lines[7] = lines[7], lines[6]
+            return lines
+
+        assert self._refused_line(tmp_path, swap) == 7
+
+    def test_edited_style_line_rejected(self, tmp_path):
+        def edit(lines):
+            lines[11] = lines[11].replace("darkness ", "darkness 1", 1)
+            return lines
+
+        assert self._refused_line(tmp_path, edit) == 12
+
+    def test_swapped_header_lines_rejected(self, tmp_path):
+        def swap(lines):
+            lines[1], lines[2] = lines[2], lines[1]
+            return lines
+
+        assert self._refused_line(tmp_path, swap) == 2
+
+    def test_duplicated_style_line_rejected(self, tmp_path):
+        assert self._refused_line(tmp_path, lambda lines: lines + lines[-1:]) == 14
+
 
 class TestNetpbm:
     def test_pgm_write_read_write_is_byte_exact(self, tmp_path):

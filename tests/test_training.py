@@ -38,7 +38,13 @@ from stylemix.fontnet import stack_triplets
 from stylemix.autodiff import Graph
 
 
-MICRO_TRAIN = dict(base_channels=4, r=2, batch_size=2, n_t=20)
+MICRO_TRAIN = dict(r=2, n_t=20)
+
+
+def micro_net(seed=0, ref_count=2, image_size=16):
+    """The small FontNet that the training tests step: base width 4, not 16."""
+    return FontNet.initialize(
+        FontNetConfig(image_size=image_size, base_channels=4, ref_count=ref_count), seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +115,9 @@ def reference_adam_step(params, state: AdamState) -> None:
     """The unblocked Adam update, one whole-array expression per line."""
     state.step_count += 1
     t = state.step_count
-    correction1 = 1.0 - state.beta1 ** t
-    correction2 = 1.0 - state.beta2 ** t
+    beta1, beta2 = training.ADAM_BETA1, training.ADAM_BETA2
+    correction1 = 1.0 - beta1 ** t
+    correction2 = 1.0 - beta2 ** t
     for name, p in params.items():
         g = p.grad
         m = state.m.get(name)
@@ -118,13 +125,13 @@ def reference_adam_step(params, state: AdamState) -> None:
             m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
         m_hat = m / correction1
         v_hat = v / correction2
-        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        p.data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + training.ADAM_EPSILON)
 
 
 def _large(rng):
@@ -239,18 +246,51 @@ class TestCheckpointFormat:
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, {"w": np.arange(4.0)})
         before = path.read_bytes()
-        real_write = pathlib.Path.write_bytes
+        real_open = pathlib.Path.open
 
-        def torn_write(self, data):
-            real_write(self, data[:len(data) // 2])
-            raise OSError("disk full")
+        class TornFile:
+            """Takes 200 of the 418 bytes, then fails inside the tensor's values."""
 
-        monkeypatch.setattr(pathlib.Path, "write_bytes", torn_write)
+            def __init__(self, file):
+                self.file, self.room = file, 200
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                taken = self.file.write(data[:self.room])
+                self.room -= taken
+                if taken < len(data):
+                    raise OSError("disk full")
+                return taken
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
+
+        monkeypatch.setattr(pathlib.Path, "open",
+                            lambda self, *args, **kw: TornFile(real_open(self, *args, **kw)))
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, {"w": np.arange(100.0)})
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_save_holds_no_copy_of_the_checkpoint(self, tmp_path):
+        """The default FontNet's 15.7 MiB of float32 tensors go to the file as they are."""
+        arrays = FontNet.initialize(FontNetConfig()).state_arrays()
+        path = tmp_path / "default.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+        loaded = load_checkpoint(path)
+        assert path.stat().st_size > 15 << 20
+        for name, array in arrays.items():
+            assert loaded[name].tobytes() == array.astype(np.float32).tobytes(), name
 
     def test_tensor_count_matches(self, tmp_path):
         net = FontNet.initialize(FontNetConfig(image_size=16, base_channels=2, ref_count=2))
@@ -268,6 +308,24 @@ class TestCheckpointFormat:
         save_checkpoint(path, arrays)
         back = load_checkpoint(path)["w"]
         assert np.array_equal(back, arrays["w"].astype(np.float32).astype(np.float64))
+
+    @pytest.mark.parametrize("array", [
+        np.array(2.5),
+        np.arange(12.0, dtype=np.float32).reshape(3, 4).T,
+        np.arange(6, dtype=np.int64).reshape(2, 1, 3),
+    ], ids=["rank0", "transposed", "int64"])
+    def test_writes_the_documented_layout(self, tmp_path, array):
+        """Magic, version and count, then per tensor the name, rank, extents and
+        its C-order values in <f4: a 0-d array stays rank 0, a strided or
+        non-float32 one is written in that order and dtype."""
+        name = "t.\u00e9".encode("utf-8")
+        want = (b"EMD1" + (1).to_bytes(2, "little") + (1).to_bytes(4, "little")
+                + len(name).to_bytes(2, "little") + name + bytes([array.ndim])
+                + b"".join(n.to_bytes(4, "little") for n in array.shape)
+                + array.astype("<f4").tobytes(order="C"))
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, {"t.\u00e9": array})
+        assert path.read_bytes() == want
 
     def test_loads_writable_float32_arrays(self, tmp_path):
         """Each tensor comes back as its own writable float32 array, the file's precision."""
@@ -340,7 +398,7 @@ class TestTrain:
     def test_log_lines_are_parseable(self, corpus, tmp_path, _smoke):
         config = TrainConfig(steps=3, learning_rate=1e-3, seed=1, **MICRO_TRAIN)
         log_path = tmp_path / "run.log"
-        result = train(config, corpus, log_path=log_path)
+        result = train(config, corpus, net=micro_net(1), log_path=log_path)
         assert len(result.losses) == 3
         for line in log_path.read_text().splitlines():
             step, loss, wall = line.split(",")
@@ -348,15 +406,28 @@ class TestTrain:
             assert np.isfinite(float(loss))
             assert float(wall) >= 0.0
 
+    def test_a_run_from_step_zero_replaces_the_log(self, corpus, tmp_path):
+        log_path = tmp_path / "run.log"
+        log_path.write_text("0,1.0,1.0\n1,1.0,1.0\n", encoding="ascii")
+        train(TrainConfig(steps=1, seed=1, **MICRO_TRAIN), corpus, net=micro_net(1),
+              log_path=log_path)
+        assert [line.split(",")[0] for line in log_path.read_text().splitlines()] == ["0"]
+
+    def test_a_continued_run_appends_to_the_log(self, corpus, tmp_path):
+        net, adam, log_path = micro_net(1), AdamState(), tmp_path / "run.log"
+        train(TrainConfig(steps=2, seed=1, **MICRO_TRAIN), corpus, net=net, adam=adam,
+              log_path=log_path)
+        train(TrainConfig(steps=1, seed=1, start_step=2, **MICRO_TRAIN), corpus, net=net,
+              adam=adam, log_path=log_path)
+        steps = [line.split(",")[0] for line in log_path.read_text().splitlines()]
+        assert steps == ["0", "1", "2"]
+
     def test_single_step_decreases_loss_on_one_triplet(self, corpus):
-        # a pool of one triplet (n_t=1): the batch of two holds it twice
+        # a pool of one triplet (n_t=1): every batch holds only it
         decreased = 0
         for seed in range(20):
-            config = TrainConfig(steps=1, learning_rate=1e-3, batch_size=2, n_t=1,
-                                 r=2, base_channels=4, seed=seed)
-            net = FontNet.initialize(
-                FontNetConfig(image_size=16, base_channels=4, ref_count=2), seed=seed
-            )
+            config = TrainConfig(steps=1, learning_rate=1e-3, n_t=1, r=2, seed=seed)
+            net = micro_net(seed)
 
             def triplet_loss():
                 triplets = sample_training_batch(corpus, 1, 2, 2, seed=config.seed, step=0)
@@ -372,8 +443,8 @@ class TestTrain:
 
     def test_fixed_seed_runs_are_bit_identical(self, corpus, tmp_path):
         config = TrainConfig(steps=4, seed=7, **MICRO_TRAIN)
-        a = train(config, corpus)
-        b = train(config, corpus)
+        a = train(config, corpus, net=micro_net(7))
+        b = train(config, corpus, net=micro_net(7))
         assert a.losses == b.losses
         path_a, path_b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(path_a, a.net.state_arrays())
@@ -382,7 +453,7 @@ class TestTrain:
 
     def test_resume_from_checkpoint_is_reproducible(self, corpus, tmp_path):
         config = TrainConfig(steps=3, seed=9, **MICRO_TRAIN)
-        first = train(config, corpus)
+        first = train(config, corpus, net=micro_net(9))
         path = tmp_path / "mid.ckpt"
         save_checkpoint(path, first.net.state_arrays())
 
@@ -393,23 +464,22 @@ class TestTrain:
 
         assert resume_loss() == resume_loss()
 
-    @pytest.mark.parametrize("batch_size", [0, 1])
-    def test_batch_below_two_rejected(self, batch_size):
-        # batch-norm at the 1x1 bottleneck would zero the style encoder's gradient
-        with pytest.raises(ValueError, match="batch_size must be >= 2"):
-            TrainConfig(batch_size=batch_size)
+    def test_without_a_net_trains_the_default_config_at_the_run_size_and_r(self, corpus):
+        config = TrainConfig(steps=0, seed=6, **MICRO_TRAIN)
+        net = train(config, corpus).net
+        want = FontNet.initialize(FontNetConfig(image_size=16, ref_count=2), seed=6)
+        assert net.config == want.config
+        for (name, a), b in zip(net.state_arrays().items(), want.state_arrays().values()):
+            assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("name, value", [
         ("steps", -1),
         ("learning_rate", float("nan")),
         ("learning_rate", 0.0),
-        ("clip_norm", float("nan")),
-        ("clip_norm", 0.0),
-        ("clip_norm", -1.0),
         ("start_step", -5),
     ])
     def test_rejects_values_the_code_cannot_use(self, name, value):
-        """A NaN rate writes NaN weights, a zero clip norm moves none, a negative one ascends."""
+        """A NaN rate writes NaN weights and a zero one moves none."""
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
 
@@ -422,7 +492,7 @@ class TestTrain:
     def test_rejects_a_rate_beyond_float32_before_any_update(self, corpus, rate):
         """Finite in float64, inf in float32: Adam would turn every weight into NaN."""
         config = TrainConfig(steps=2, learning_rate=rate, **MICRO_TRAIN)
-        net = FontNet.initialize(FontNetConfig(image_size=16, base_channels=4, ref_count=2))
+        net = micro_net()
         before = {name: p.data.copy() for name, p in net.params.items()}
         with pytest.raises(ValueError, match="learning_rate .* non-finite in float32"):
             train(config, corpus, net=net)
@@ -446,7 +516,8 @@ class TestTrain:
 
         monkeypatch.setattr(training, "adam_step", recording_adam_step)
         adam = AdamState()
-        net = train(TrainConfig(steps=2, seed=2, **MICRO_TRAIN), corpus, adam=adam).net
+        net = train(TrainConfig(steps=2, seed=2, **MICRO_TRAIN), corpus, net=micro_net(2),
+                    adam=adam).net
         assert grad_dtypes == {np.dtype(np.float32)}
         assert {t.data.dtype for t in net.params.values()} == {np.dtype(np.float32)}
         assert set(adam.m) == set(adam.v) == set(net.params)
@@ -459,7 +530,7 @@ class TestTrain:
         assert image.dtype == np.float32
 
     def test_checkpoint_round_trip_is_bit_exact(self, corpus, tmp_path):
-        net = train(TrainConfig(steps=2, seed=4, **MICRO_TRAIN), corpus).net
+        net = train(TrainConfig(steps=2, seed=4, **MICRO_TRAIN), corpus, net=micro_net(4)).net
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, net.state_arrays())
         want = net.state_arrays()
@@ -471,9 +542,7 @@ class TestTrain:
 
     def test_nonfinite_loss_aborts_with_diagnostic(self, corpus):
         config = TrainConfig(steps=1, seed=3, **MICRO_TRAIN)
-        net = FontNet.initialize(
-            FontNetConfig(image_size=16, base_channels=4, ref_count=2), seed=3
-        )
+        net = micro_net(3)
         net.params["mixer.tensor"].data[0, 0, 0] = np.nan
         with pytest.raises(TrainingError, match="step 0"):
             train(config, corpus, net=net)
@@ -481,9 +550,7 @@ class TestTrain:
     def test_nonfinite_loss_updates_nothing(self, corpus, monkeypatch):
         """The refused step leaves parameters, Adam's state, every gradient and the
         batch-norm running statistics as the last good step left them."""
-        net = FontNet.initialize(
-            FontNetConfig(image_size=16, base_channels=4, ref_count=2), seed=3
-        )
+        net = micro_net(3)
         adam = AdamState(learning_rate=1e-3)
         train(TrainConfig(steps=1, seed=3, **MICRO_TRAIN), corpus, net=net, adam=adam)
         assert adam.step_count == 1 and adam.m
@@ -502,19 +569,15 @@ class TestTrain:
                 assert now is then and now.tobytes() == raw, name
 
     def test_mismatched_ref_count_rejected(self, corpus):
-        net = FontNet.initialize(
-            FontNetConfig(image_size=16, base_channels=4, ref_count=3), seed=0
-        )
+        net = micro_net(ref_count=3)
         with pytest.raises(TrainingError, match="r="):
-            train(TrainConfig(steps=1, r=2, base_channels=4), corpus, net=net)
+            train(TrainConfig(steps=1, r=2), corpus, net=net)
 
     def test_mismatched_image_size_rejected_before_the_log_opens(self, corpus, tmp_path):
-        net = FontNet.initialize(
-            FontNetConfig(image_size=32, base_channels=4, ref_count=2), seed=0
-        )
+        net = micro_net(image_size=32)
         log = tmp_path / "mis.log"
         with pytest.raises(TrainingError, match="32px"):
-            train(TrainConfig(steps=1, r=2, base_channels=4), corpus, net=net, log_path=log)
+            train(TrainConfig(steps=1, r=2), corpus, net=net, log_path=log)
         assert not log.exists()
 
     @pytest.mark.parametrize("change", [{"r": 9}, {"n_t": 0}, {"r": 10 ** 12}])
@@ -530,9 +593,10 @@ class TestTrain:
     def test_split_run_with_an_evaluation_between_equals_one_run(self, corpus):
         """Eval-mode batch norm updates no running statistics, so evaluate() is invisible."""
         config = TrainConfig(steps=4, seed=5, **MICRO_TRAIN)
-        whole = train(config, corpus)
+        whole = train(config, corpus, net=micro_net(5))
         adam = AdamState(learning_rate=config.learning_rate)
-        first = train(TrainConfig(steps=2, seed=5, **MICRO_TRAIN), corpus, adam=adam)
+        first = train(TrainConfig(steps=2, seed=5, **MICRO_TRAIN), corpus, net=micro_net(5),
+                      adam=adam)
         evaluate(first.net, build_eval_sets(corpus, r=2, seed=0, per_set=2))
         second = train(TrainConfig(steps=2, start_step=2, seed=5, **MICRO_TRAIN), corpus,
                        net=first.net, adam=adam)
@@ -547,9 +611,7 @@ class TestTrain:
 
 class TestEvaluate:
     def test_returns_all_cells_with_finite_metrics(self, corpus):
-        net = FontNet.initialize(
-            FontNetConfig(image_size=16, base_channels=4, ref_count=2), seed=0
-        )
+        net = micro_net(0)
         suites = build_eval_sets(corpus, r=2, seed=1, per_set=2)
         results = evaluate(net, suites)
         assert sorted(results) == ["d1", "d2", "d3", "d4"]
@@ -559,25 +621,19 @@ class TestEvaluate:
             assert metrics.l1 >= 0 and metrics.rmse >= 0 and 0 <= metrics.pdar <= 1
 
     def test_deterministic(self, corpus):
-        net = FontNet.initialize(
-            FontNetConfig(image_size=16, base_channels=4, ref_count=2), seed=1
-        )
+        net = micro_net(1)
         suites = build_eval_sets(corpus, r=2, seed=2, per_set=2)
         assert evaluate(net, suites) == evaluate(net, suites)
 
     def test_rejects_empty_suite(self, corpus):
-        net = FontNet.initialize(
-            FontNetConfig(image_size=16, base_channels=4, ref_count=2), seed=2
-        )
+        net = micro_net(2)
         with pytest.raises(ValueError, match="empty"):
             evaluate(net, {"d1": []})
 
     @pytest.mark.parametrize("per_set", [1, 2, 3, 4, 7])
     def test_equals_a_per_item_recomputation(self, corpus, per_set):
         """Chunks of EVAL_BATCH items, the last one short, give the per-item metrics."""
-        net = FontNet.initialize(
-            FontNetConfig(image_size=16, base_channels=4, ref_count=2), seed=4
-        )
+        net = micro_net(4)
         suites = build_eval_sets(corpus, r=2, seed=3, per_set=per_set)
         results = evaluate(net, suites)
         for cell, items in suites.items():
@@ -616,8 +672,7 @@ class TestTrainNstPair:
 
         def run():
             net = NstNet.initialize(NstConfig(), seed=2)
-            return train_nst_pair(net, extractor, style, content, steps=25,
-                                  learning_rate=1e-3)
+            return train_nst_pair(net, extractor, style, content, steps=25)
 
         trace_a = run()
         trace_b = run()
@@ -762,37 +817,13 @@ class TestTrainNstPair:
 
     @pytest.mark.parametrize("name, value", [
         ("steps", -3),
-        ("learning_rate", 0.0),
-        ("learning_rate", -1e-3),
-        ("clip_norm", 0.0),
-        ("clip_norm", -1.0),
     ])
     def test_rejects_configs_that_learn_nothing(self, name, value):
-        """Zero or negative rates and clip norms would leave the net unchanged or ascend."""
         style, content = self._pair(10)
         net = NstNet.initialize(NstConfig(), seed=0)
         with pytest.raises(ValueError, match=name):
             train_nst_pair(net, FeatureExtractor(seed=0), style, content,
                            **{"steps": 3, name: value})
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_rejects_a_learning_rate_that_is_not_finite(self, value):
-        style, content = self._pair(11)
-        net = NstNet.initialize(NstConfig(), seed=0)
-        with pytest.raises(ValueError, match="learning_rate"):
-            train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=1,
-                           learning_rate=value)
-
-    def test_rejects_a_rate_beyond_float32_before_any_update(self):
-        style, content = self._pair(12)
-        net = NstNet.initialize(NstConfig(), seed=0)
-        before = {name: p.data.copy() for name, p in net.params.items()}
-        with pytest.raises(ValueError, match="learning_rate .* non-finite in float32"):
-            train_nst_pair(net, FeatureExtractor(seed=0), style, content, steps=2,
-                           learning_rate=1e300)
-        for name, p in net.params.items():
-            assert np.array_equal(p.data, before[name]), name
-            assert p.requires_grad, name
 
     def test_freezing_keeps_trace_and_updates_bit_identical(self):
         """Same trace and parameters as the loop that tapes every parameter.
@@ -858,7 +889,7 @@ class TestStepHooks:
     def test_train_steps_through_the_hooks(self, corpus, monkeypatch):
         events = self._record(monkeypatch, "weighted_l1_loss",
                               (FontNet, "forward_generate"))
-        train(TrainConfig(steps=2, seed=1, **MICRO_TRAIN), corpus)
+        train(TrainConfig(steps=2, seed=1, **MICRO_TRAIN), corpus, net=micro_net(1))
         assert events == ["graph", "forward", "loss", "clip", "adam"] * 2
 
     def test_train_nst_pair_steps_through_the_hooks(self, monkeypatch):
