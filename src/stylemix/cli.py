@@ -11,7 +11,8 @@ Every model command runs in float32, the precision the checkpoint stores:
 ``NstNet``, whose parameters are float32 as loaded; ``nst`` reads its images as
 float32, so every op of the forward computes in float32.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric failure.
+Exit codes: 0 success, 2 usage error, 3 data/format error (an input too large
+for memory included), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (NetpbmError, CorpusError, CheckpointError, ValueError, OSError) as exc:
+    except (NetpbmError, CorpusError, CheckpointError, ValueError, OSError,
+            MemoryError) as exc:  # an input whose arrays exceed the machine's memory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -38,6 +38,8 @@ from stylemix.autodiff import (
     sigmoid,
 )
 
+INIT_STD = 0.02  # every FontNet kernel and the mixer tensor are drawn from N(0, INIT_STD)
+
 
 def _spatial_chain(size: int) -> tuple:
     sizes = [size]
@@ -48,15 +50,12 @@ def _spatial_chain(size: int) -> tuple:
 
 @dataclass(frozen=True)
 class FontNetConfig:
-    """Architecture knobs; the defaults are the desk-scale configuration."""
+    """The glyph size, the first encoder block's width and the references per
+    set; the defaults are the desk-scale configuration."""
 
     image_size: int = 64
     base_channels: int = 16
     ref_count: int = 4
-    bn_momentum: float = 0.1
-    bn_epsilon: float = 1e-5
-    leaky_slope: float = 0.2
-    init_std: float = 0.02
 
     def __post_init__(self):
         size = self.image_size
@@ -69,14 +68,6 @@ class FontNetConfig:
             raise ValueError(f"ref_count must be >= 1, got {self.ref_count}")
         if self.base_channels < 1:
             raise ValueError(f"base_channels must be >= 1, got {self.base_channels}")
-        if not 0.0 <= self.leaky_slope <= 1.0:
-            raise ValueError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ValueError(f"bn_momentum must lie in [0, 1], got {self.bn_momentum}")
-        if not self.bn_epsilon > 0:
-            raise ValueError(f"bn_epsilon must be > 0, got {self.bn_epsilon}")
-        if not self.init_std > 0:
-            raise ValueError(f"init_std must be > 0, got {self.init_std}")
 
     @property
     def spatial_sizes(self) -> tuple:
@@ -102,9 +93,8 @@ class FontNetConfig:
 
 
 def config_record(config) -> np.ndarray:
-    """A config dataclass as the UTF-8 bytes of its JSON, one value per byte.
-
-    Bytes are exact in a float32 checkpoint; float fields (1e-5, say) are not."""
+    """A config dataclass as the UTF-8 bytes of its JSON, one value per byte,
+    which a float32 checkpoint holds exactly."""
     text = json.dumps(dataclasses.asdict(config), sort_keys=True)
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float64)
 
@@ -155,8 +145,6 @@ def _same_kind(value, default) -> bool:
     """Whether a decoded JSON value has the type of a field's default."""
     if isinstance(default, tuple):
         return isinstance(value, list) and all(_same_kind(v, default[0]) for v in value)
-    if isinstance(default, float):
-        return type(value) in (int, float)
     return type(value) is type(default)
 
 
@@ -301,7 +289,6 @@ class FontNet(Model):
 
     def _layers(self, init) -> None:
         config, add = self.config, self._add
-        std = config.init_std
 
         def batch_norm(name, cout):
             add(f"{name}.gamma", init.const((cout,), 1.0))
@@ -314,13 +301,13 @@ class FontNet(Model):
             cin = config.ref_count
             for i, cout in enumerate(enc):
                 k = 5 if i == 0 else 3
-                add(f"{prefix}.{i}.kernel", init.normal((cout, cin, k, k), std))
+                add(f"{prefix}.{i}.kernel", init.normal((cout, cin, k, k), INIT_STD))
                 add(f"{prefix}.{i}.bias", init.const((cout,), 0.0))
                 batch_norm(f"{prefix}.{i}", cout)
                 cin = cout
 
         code = config.code_dim
-        add("mixer.tensor", init.normal((code, code, code), std))
+        add("mixer.tensor", init.normal((code, code, code), INIT_STD))
 
         dec = config.decoder_channels
         cin = code
@@ -328,13 +315,13 @@ class FontNet(Model):
             if j >= 1:
                 cin += enc[config.depth - 1 - j]  # skip concat widens the input
             # deconv kernels are laid out (Cin, Cout, k, k)
-            add(f"decoder.{j}.kernel", init.normal((cin, cout, 3, 3), std))
+            add(f"decoder.{j}.kernel", init.normal((cin, cout, 3, 3), INIT_STD))
             add(f"decoder.{j}.bias", init.const((cout,), 0.0))
             batch_norm(f"decoder.{j}", cout)
             cin = cout
         last = config.depth - 1
         cin = (dec[-1] if dec else code) + enc[0]
-        add(f"decoder.{last}.kernel", init.normal((cin, 1, 5, 5), std))
+        add(f"decoder.{last}.kernel", init.normal((cin, 1, 5, 5), INIT_STD))
         add(f"decoder.{last}.bias", init.const((1,), 0.0))
 
     # -- forward ops ---------------------------------------------------------
@@ -359,9 +346,8 @@ class FontNet(Model):
                          self.params[f"{prefix}.{i}.bias"], stride=stride, padding=pad)
             out = batchnorm2d(out, self.params[f"{prefix}.{i}.gamma"],
                               self.params[f"{prefix}.{i}.beta"], mode=mode,
-                              running_stats=self.buffers[f"{prefix}.{i}"],
-                              momentum=cfg.bn_momentum, epsilon=cfg.bn_epsilon)
-            out = leaky_relu(out, cfg.leaky_slope)
+                              running_stats=self.buffers[f"{prefix}.{i}"])
+            out = leaky_relu(out)
             if keep_skips and i < cfg.depth - 1:
                 skips.append(out)
         code = out.reshape(out.shape[0], cfg.code_dim)
@@ -411,8 +397,7 @@ class FontNet(Model):
                                output_padding=opad)
                 out = batchnorm2d(out, self.params[f"decoder.{j}.gamma"],
                                   self.params[f"decoder.{j}.beta"], mode=mode,
-                                  running_stats=self.buffers[f"decoder.{j}"],
-                                  momentum=cfg.bn_momentum, epsilon=cfg.bn_epsilon)
+                                  running_stats=self.buffers[f"decoder.{j}"])
                 out = relu(out)
             else:
                 out = deconv2d(out, kernel, bias, stride=1, padding=2)

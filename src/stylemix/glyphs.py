@@ -410,11 +410,14 @@ def load_corpus(corpus_dir) -> Corpus:
 
     The first line that differs raises CorpusError naming the file and the line,
     so a tampered split or style, a blank, reordered or duplicated line all fail.
+    A style or content count that the file is too short to hold is refused
+    before the corpus it describes is built.
     """
     manifest = Path(corpus_dir) / MANIFEST_NAME
     if not manifest.is_file():
         raise CorpusError(f"no {MANIFEST_NAME} found in {corpus_dir}")
-    lines = manifest.read_text(encoding="ascii").splitlines()
+    text = manifest.read_text(encoding="ascii")
+    lines = text.splitlines()
     if not lines or lines[0] != _MANIFEST_MAGIC:
         raise CorpusError(f"{manifest}: not a corpus manifest (bad first line)")
     header = []
@@ -425,6 +428,13 @@ def load_corpus(corpus_dir) -> Corpus:
             raise CorpusError(f"{manifest}:{lineno}: expected '{key} <integer>', got {line!r}")
         header.append(int(value))
     seed, n_styles, n_contents, size = header
+    # every style has a line of its own, and the split lines write every content id once
+    if n_styles > len(lines):
+        raise CorpusError(f"{manifest}:3: styles {n_styles} is more than the "
+                          f"manifest's {len(lines)} lines can describe")
+    if n_contents > len(text):
+        raise CorpusError(f"{manifest}:4: contents {n_contents} is more than the "
+                          f"manifest's {len(text)} characters can describe")
     corpus = Corpus(CorpusConfig(n_styles=n_styles, n_contents=n_contents,
                                  image_size=size, seed=seed))
     expected = _manifest_lines(corpus)

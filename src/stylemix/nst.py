@@ -6,10 +6,12 @@ channel; mixing re-normalizes the content features to carry the target
 statistics; the decoder maps the mixed features back to an image. Losses
 compare feature maps and their statistics through a fixed feature extractor.
 
-The loss extractor here is a seeded, randomly initialized four-stage
+Both networks take RGB images; the CLI stacks a grayscale image into three
+channels. The loss extractor here is a seeded, randomly initialized four-stage
 convolutional network (taps after every stage, content tap at the last); a
 pretrained extractor in the project checkpoint format loads in its place
-through ``FeatureExtractor.from_state``.
+through ``FeatureExtractor.from_state``, provided its stages are 3x3,
+stride-2 convolutions over RGB.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from stylemix.autodiff import (
 from stylemix.fontnet import Model, SeededInit
 
 STAT_EPSILON = 1e-8
+IMAGE_CHANNELS = 3  # RGB, the input and output of NstNet and FeatureExtractor
+N_STYLE_RES = 1  # residual blocks after the style encoder's conv_plan
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +197,12 @@ class NstConfig:
     conv_plan lists the shared (kernel, stride, channels) convolution blocks
     of both encoders; the mixing layer width is the last entry's channel
     count and the style encoder's fully connected head emits twice that many
-    values (mean then std).
+    values (mean then std). n_content_res residual blocks follow the content
+    encoder's plan and open the decoder.
     """
 
     conv_plan: tuple = ((3, 1, 16), (3, 2, 32), (3, 2, 64))
-    n_style_res: int = 1
     n_content_res: int = 4
-    leaky_slope: float = 0.2
-    image_channels: int = 3
-    stat_epsilon: float = STAT_EPSILON
 
     def __post_init__(self):
         if not self.conv_plan:
@@ -215,17 +216,8 @@ class NstConfig:
                     f"conv_plan block {block} needs an odd kernel >= 1, "
                     f"stride >= 1 and channels >= 1"
                 )
-        if self.n_style_res < 0 or self.n_content_res < 0:
-            raise ValueError(
-                f"residual block counts must be >= 0, got {self.n_style_res} "
-                f"and {self.n_content_res}"
-            )
-        if self.image_channels < 1:
-            raise ValueError(f"image_channels must be >= 1, got {self.image_channels}")
-        if not 0.0 <= self.leaky_slope <= 1.0:
-            raise ValueError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
-        if not self.stat_epsilon > 0:
-            raise ValueError(f"stat_epsilon must be > 0, got {self.stat_epsilon}")
+        if self.n_content_res < 0:
+            raise ValueError(f"n_content_res must be >= 0, got {self.n_content_res}")
 
     @property
     def mix_channels(self) -> int:
@@ -266,9 +258,9 @@ class NstNet(Model):
             conv(f"{name}.conv0", c, c, k)
             conv(f"{name}.conv1", c, c, k)
 
-        for prefix, n_res in (("style_enc", config.n_style_res),
+        for prefix, n_res in (("style_enc", N_STYLE_RES),
                               ("content_enc", config.n_content_res)):
-            cin = config.image_channels
+            cin = IMAGE_CHANNELS
             for i, (k, _, cout) in enumerate(config.conv_plan):
                 conv(f"{prefix}.conv{i}", cin, cout, k)
                 cin = cout
@@ -286,11 +278,10 @@ class NstNet(Model):
         cin = c_mix
         for j, block_idx in enumerate(reversed(strided)):
             k = config.conv_plan[block_idx][0]
-            cout = (config.conv_plan[block_idx - 1][2] if block_idx >= 1
-                    else config.image_channels)
+            cout = config.conv_plan[block_idx - 1][2] if block_idx >= 1 else IMAGE_CHANNELS
             conv(f"decoder.up{j}", cin, cout, k)
             cin = cout
-        conv("decoder.out", cin, config.image_channels, config.conv_plan[0][0])
+        conv("decoder.out", cin, IMAGE_CHANNELS, config.conv_plan[0][0])
 
     # kept by name: perfbench/tracer.py wraps it, and the benchmark's smoke test fails without it
     @classmethod
@@ -302,9 +293,9 @@ class NstNet(Model):
     def _check_image(self, x, role: str) -> Tensor:
         x = self._input(x)
         cfg = self.config
-        if x.ndim != 4 or x.shape[1] != cfg.image_channels:
+        if x.ndim != 4 or x.shape[1] != IMAGE_CHANNELS:
             raise ShapeError(
-                f"{role} image must be [B, {cfg.image_channels}, H, W], got {tuple(x.shape)}"
+                f"{role} image must be [B, {IMAGE_CHANNELS}, H, W], got {tuple(x.shape)}"
             )
         factor = cfg.downsample_factor
         if x.shape[2] < factor or x.shape[3] < factor:
@@ -319,10 +310,10 @@ class NstNet(Model):
         return conv2d(x, k, self.params[f"{name}.bias"], stride=stride,
                       padding=(k.shape[2] - 1) // 2)
 
-    def _conv_block(self, name: str, x: Tensor, stride: int, slope: float) -> Tensor:
+    def _conv_block(self, name: str, x: Tensor, stride: int, slope: float = 0.2) -> Tensor:
         return leaky_relu(self._conv(name, x, stride), slope)
 
-    def _res_block(self, name: str, x: Tensor, slope: float) -> Tensor:
+    def _res_block(self, name: str, x: Tensor, slope: float = 0.2) -> Tensor:
         out = self._conv_block(f"{name}.conv0", x, 1, slope)
         out = self._conv_block(f"{name}.conv1", out, 1, slope)
         return x + out
@@ -333,9 +324,9 @@ class NstNet(Model):
         cfg = self.config
         out = x
         for i, (_, stride, _) in enumerate(cfg.conv_plan):
-            out = self._conv_block(f"style_enc.conv{i}", out, stride, cfg.leaky_slope)
-        for i in range(cfg.n_style_res):
-            out = self._res_block(f"style_enc.res{i}", out, cfg.leaky_slope)
+            out = self._conv_block(f"style_enc.conv{i}", out, stride)
+        for i in range(N_STYLE_RES):
+            out = self._res_block(f"style_enc.res{i}", out)
         pooled = global_avg_pool(out).reshape(out.shape[0], cfg.mix_channels)
         head = fully_connected(pooled, self.params["style_enc.fc.weight"],
                                self.params["style_enc.fc.bias"])
@@ -351,9 +342,9 @@ class NstNet(Model):
         for i, (_, stride, _) in enumerate(cfg.conv_plan):
             if stride > 1:
                 sizes.append((out.shape[2], out.shape[3]))
-            out = self._conv_block(f"content_enc.conv{i}", out, stride, cfg.leaky_slope)
+            out = self._conv_block(f"content_enc.conv{i}", out, stride)
         for i in range(cfg.n_content_res):
-            out = self._res_block(f"content_enc.res{i}", out, cfg.leaky_slope)
+            out = self._res_block(f"content_enc.res{i}", out)
         return out, sizes
 
     def decode(self, f: Tensor, sizes) -> Tensor:
@@ -375,7 +366,7 @@ class NstNet(Model):
     def mix_features(self, content_img, stats: ChannelStats):
         """Content features re-normalized to ``stats``, plus the decoder's sizes."""
         f, sizes = self.content_encode(content_img)
-        return statistic_match(f, stats, self.config.stat_epsilon), sizes
+        return statistic_match(f, stats), sizes
 
     def forward(self, style_img, content_img) -> Tensor:
         """Stylize the content image with statistics from the style image."""
@@ -387,7 +378,7 @@ class NstNet(Model):
         stats1 = self.style_encode(style1_img)
         stats2 = self.style_encode(style2_img)
         f, sizes = self.content_encode(content_img)
-        mixed = style_interpolate(f, stats1, stats2, alpha, self.config.stat_epsilon)
+        mixed = style_interpolate(f, stats1, stats2, alpha)
         return self.decode(mixed, sizes)
 
 
@@ -398,26 +389,16 @@ class NstNet(Model):
 
 @dataclass(frozen=True)
 class ExtractorConfig:
+    """The output channels of each 3x3, stride-2 stage."""
+
     stage_channels: tuple = (8, 16, 32, 64)
-    kernel: int = 3
-    stride: int = 2
-    leaky_slope: float = 0.2
-    image_channels: int = 3
 
     def __post_init__(self):
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ValueError(f"extractor kernel must be odd and >= 1, got {self.kernel}")
-        if self.stride < 1:
-            raise ValueError(f"extractor stride must be >= 1, got {self.stride}")
-        if self.image_channels < 1:
-            raise ValueError(f"image_channels must be >= 1, got {self.image_channels}")
         if not self.stage_channels or min(self.stage_channels) < 1:
             raise ValueError(
                 f"stage_channels must hold at least one stage of >= 1 channels, "
                 f"got {self.stage_channels}"
             )
-        if not 0.0 <= self.leaky_slope <= 1.0:
-            raise ValueError(f"leaky_slope must lie in [0, 1], got {self.leaky_slope}")
 
 
 class FeatureExtractor(Model):
@@ -436,10 +417,9 @@ class FeatureExtractor(Model):
         super().__init__(config, SeededInit(np.random.default_rng([self.seed_tag, seed])))
 
     def _layers(self, init) -> None:
-        cin = self.config.image_channels
-        k = self.config.kernel
+        cin = IMAGE_CHANNELS
         for i, cout in enumerate(self.config.stage_channels):
-            self._add(f"stage{i}.kernel", init.normal((cout, cin, k, k), _he_std(cin, k)))
+            self._add(f"stage{i}.kernel", init.normal((cout, cin, 3, 3), _he_std(cin, 3)))
             self._add(f"stage{i}.bias", init.const((cout,), 0.0))
             cin = cout
         for tensor in self.params.values():
@@ -448,13 +428,11 @@ class FeatureExtractor(Model):
     def taps(self, image) -> list:
         """All stage outputs, shallowest first."""
         out = self._input(image)
-        cfg = self.config
         results = []
-        for i in range(len(cfg.stage_channels)):
+        for i in range(len(self.config.stage_channels)):
             out = conv2d(out, self.params[f"stage{i}.kernel"],
-                         self.params[f"stage{i}.bias"], stride=cfg.stride,
-                         padding=(cfg.kernel - 1) // 2)
-            out = leaky_relu(out, cfg.leaky_slope)
+                         self.params[f"stage{i}.bias"], stride=2, padding=1)
+            out = leaky_relu(out)
             results.append(out)
         return results
 

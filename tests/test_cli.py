@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stylemix
-from stylemix import netpbm
+from stylemix import glyphs, netpbm
 from stylemix.autodiff import Tensor
 from stylemix.cli import main
 from stylemix.fontnet import FontNet, config_record
@@ -72,6 +72,19 @@ class TestCorpusCommand:
     def test_invalid_size_exits_with_data_error(self, tmp_path):
         assert run("corpus", "--out", str(tmp_path / "x"), "--styles", "4",
                    "--contents", "4", "--size", "8") == 3
+
+    def test_size_beyond_memory_is_a_data_error_within_4_gb(self, tmp_path):
+        """A 1048576 px glyph asks for 8 TiB: under a 4 GB address-space cap the
+        allocation fails at once, and the command exits 3 without a traceback."""
+        limit = 4 * 10 ** 9
+        result = subprocess.run(
+            [sys.executable, "-m", "stylemix.cli", "corpus", "--out", str(tmp_path / "x"),
+             "--styles", "4", "--contents", "4", "--size", "1048576"],
+            env={**os.environ, "PYTHONPATH": str(Path(stylemix.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
 
 
 class TestTrainCommand:
@@ -137,6 +150,26 @@ class TestTrainCommand:
                    "--steps", "1", "--lr", "1e300", "--out", str(out)) == 3
         assert "non-finite" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == []
+
+    @pytest.mark.parametrize("line, count", [("styles", 100000), ("contents", 10 ** 12)])
+    def test_header_the_manifest_cannot_hold_is_refused_before_the_corpus_is_built(
+            self, corpus_dir, tmp_path, monkeypatch, capsys, line, count):
+        """More styles than lines, or more contents than characters: the
+        corpus such a header describes is never built."""
+        copy = tmp_path / "c"
+        copy.mkdir()
+        text = (corpus_dir / "manifest.txt").read_text()
+        old = next(row for row in text.splitlines() if row.startswith(f"{line} "))
+        (copy / "manifest.txt").write_text(text.replace(old, f"{line} {count}", 1))
+
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("load_corpus built the corpus")
+
+        monkeypatch.setattr(glyphs, "Corpus", no_corpus)
+        assert run("train", "--corpus", str(copy), "--r", "2", "--steps", "1",
+                   "--out", str(tmp_path / "x.ckpt")) == 3
+        lineno = 3 if line == "styles" else 4
+        assert f"manifest.txt:{lineno}: {line} {count}" in capsys.readouterr().err
 
     def test_missing_corpus_exits_with_data_error(self, tmp_path):
         assert run("train", "--corpus", str(tmp_path / "nowhere"), "--steps", "1",
