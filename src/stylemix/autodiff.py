@@ -752,13 +752,7 @@ def global_avg_pool(x) -> Tensor:
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"global_avg_pool expects rank-4 input, got {x.shape}")
-    out = Tensor(x.data.mean(axis=(2, 3), keepdims=True))
-    scale = 1.0 / (x.shape[2] * x.shape[3])
-
-    def vjp(g, needs):
-        return (np.broadcast_to(g * scale, x.shape).copy(),)
-
-    return _record(out, (x,), vjp)
+    return tmean(x, axis=(2, 3), keepdims=True)
 
 
 def fully_connected(x, w, b) -> Tensor:
@@ -824,19 +818,21 @@ def bilinear_contract(style, w, content) -> Tensor:
 # batch normalization
 # ---------------------------------------------------------------------------
 
+BN_MOMENTUM = 0.1  # the running statistics' weight on each batch's statistics
+BN_EPSILON = 1e-5  # added to the variance under the root
+
 
 def batchnorm2d(x, gamma, beta, mode: str = "train",
-                running_stats: ChannelStats | None = None,
-                momentum: float = 0.1, epsilon: float = 1e-5) -> Tensor:
+                running_stats: ChannelStats | None = None) -> Tensor:
     """Per-channel normalization of [B,C,H,W] over batch and spatial axes.
 
     Train mode normalizes with batch statistics and folds them into
-    ``running_stats`` by exponential moving average (on the variance), in the
-    statistics' own dtype; eval mode normalizes with the running statistics,
-    in the promoted dtype of ``x`` and those statistics.
+    ``running_stats`` by exponential moving average (on the variance, at
+    ``BN_MOMENTUM``), in the statistics' own dtype; eval mode normalizes with
+    the running statistics, in the promoted dtype of ``x`` and those statistics.
 
     Both forwards are bitwise ``gamma * ((x - mu) * inv) + beta`` with
-    ``inv = 1 / sqrt(var + epsilon)``; train mode takes ``var`` as np.var
+    ``inv = 1 / sqrt(var + BN_EPSILON)``; train mode takes ``var`` as np.var
     does, from the centred array it keeps. The train-mode gradient
     ``gamma * inv * (g - sum(g)/n - xhat * sum(g * xhat)/n)`` (Ioffe &
     Szegedy, arXiv 1502.03167, §3) is formed in one output-sized array and
@@ -844,8 +840,6 @@ def batchnorm2d(x, gamma, beta, mode: str = "train",
     it is not bitwise equal to other orderings of the same sums.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if epsilon <= 0:
-        raise ValueError(f"batchnorm2d: epsilon must be > 0, got {epsilon}")
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d: mode must be 'train' or 'eval', got {mode!r}")
     if x.ndim != 4:
@@ -862,7 +856,7 @@ def batchnorm2d(x, gamma, beta, mode: str = "train",
         dtype = np.result_type(x.data, running_stats.mean, running_stats.std)
         mu = np.asarray(running_stats.mean, dtype=dtype)
         var = np.asarray(running_stats.std, dtype=dtype) ** 2
-        inv = 1.0 / np.sqrt(var + epsilon)
+        inv = 1.0 / np.sqrt(var + BN_EPSILON)
         # gamma * ((x - mu) * inv) + beta, bitwise, in one output-sized array
         y = x.data - mu[:, None, None]
         y *= inv[:, None, None]
@@ -889,11 +883,11 @@ def batchnorm2d(x, gamma, beta, mode: str = "train",
     var = np.square(xhat).sum(axis=(0, 2, 3)) / n  # np.var's own steps, bitwise
     if running_stats is not None:  # the running statistics keep their dtype
         mean, std = np.asarray(running_stats.mean), np.asarray(running_stats.std)
-        running_stats.mean = ((1.0 - momentum) * mean + momentum * mu).astype(
+        running_stats.mean = ((1.0 - BN_MOMENTUM) * mean + BN_MOMENTUM * mu).astype(
             mean.dtype, copy=False)
-        running_stats.std = np.sqrt((1.0 - momentum) * std ** 2 + momentum * var).astype(
+        running_stats.std = np.sqrt((1.0 - BN_MOMENTUM) * std ** 2 + BN_MOMENTUM * var).astype(
             std.dtype, copy=False)
-    inv = 1.0 / np.sqrt(var + epsilon)
+    inv = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat *= inv[:, None, None]
     y = gamma.data[:, None, None] * xhat
     y += beta.data[:, None, None]

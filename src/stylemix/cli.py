@@ -30,6 +30,7 @@ from stylemix.glyphs import CorpusError
 from stylemix.netpbm import NetpbmError
 from stylemix.nst import NstConfig, NstNet
 from stylemix.training import (
+    AdamState,
     CheckpointError,
     TrainConfig,
     TrainingError,
@@ -46,7 +47,19 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``, else a usage error."""
+    def parse(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in its message for a non-integer
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    seed = _int_at_least(0)
     parser = argparse.ArgumentParser(
         prog="stylemix",
         description="Reference-set typeface transfer and statistic-matching stylization.",
@@ -58,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--styles", type=int, default=40)
     corpus.add_argument("--contents", type=int, default=60)
     corpus.add_argument("--size", type=int, default=64)
-    corpus.add_argument("--seed", type=int, default=0)
+    corpus.add_argument("--seed", type=seed, default=0)
 
     tr = sub.add_parser("train", help="train a typeface model on an exported corpus")
     tr.add_argument("--corpus", required=True, help="corpus directory with manifest")
@@ -66,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--nt", type=int, default=20000, help="training pool size")
     tr.add_argument("--steps", type=int, default=2000)
     tr.add_argument("--lr", type=float, default=2e-4)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=seed, default=0)
     tr.add_argument("--out", required=True, help="checkpoint path")
 
     gen = sub.add_parser("generate", help="generate one glyph image from reference files")
@@ -78,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score a checkpoint over the d1..d4 cells")
     ev.add_argument("--ckpt", required=True)
     ev.add_argument("--corpus", required=True)
-    ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--per-set", type=int, default=24)
+    ev.add_argument("--seed", type=seed, default=0)
+    ev.add_argument("--per-set", type=_int_at_least(1), default=24)
 
     nstp = sub.add_parser("nst", help="stylize a content image")
     nstp.add_argument("--style", required=True, metavar="PGM/PPM")
@@ -94,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     ninit = sub.add_parser("nst-init", help="write an untrained stylization checkpoint "
                            "(the CLI trains none; training.train_nst_pair does)")
     ninit.add_argument("--out", required=True)
-    ninit.add_argument("--seed", type=int, default=0)
+    ninit.add_argument("--seed", type=seed, default=0)
     return parser
 
 
@@ -110,9 +123,9 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_train(args) -> int:
     corpus = glyphs.load_corpus(args.corpus)
-    config = TrainConfig(steps=args.steps, learning_rate=args.lr,
-                         n_t=args.nt, r=args.r, seed=args.seed)
-    result = train(config, corpus, log_path=str(args.out) + ".log")
+    config = TrainConfig(steps=args.steps, n_t=args.nt, r=args.r, seed=args.seed)
+    result = train(config, corpus, adam=AdamState(learning_rate=args.lr),
+                   log_path=str(args.out) + ".log")
     arrays = result.net.state_arrays()
     check_finite(arrays)  # an overflowing last update would save a broken net
     save_checkpoint(args.out, arrays)

@@ -35,7 +35,7 @@ from stylemix.autodiff import (
 )
 from stylemix.fontnet import Model, SeededInit
 
-STAT_EPSILON = 1e-8
+STAT_EPSILON = 1e-8  # added to every channel's variance under the root
 IMAGE_CHANNELS = 3  # RGB, the input and output of NstNet and FeatureExtractor
 N_STYLE_RES = 1  # residual blocks after the style encoder's conv_plan
 
@@ -45,21 +45,19 @@ N_STYLE_RES = 1  # residual blocks after the style encoder's conv_plan
 # ---------------------------------------------------------------------------
 
 
-def channel_stats(f: Tensor, epsilon: float = 0.0) -> ChannelStats:
+def channel_stats(f: Tensor) -> ChannelStats:
     """Spatial mean and population std per (batch, channel) of a [B,C,H,W] map.
 
-    ``epsilon`` is added under the square root; with epsilon 0 a constant
-    channel has std exactly 0.
+    ``STAT_EPSILON`` is added under the square root, so a constant channel
+    has std 1e-4, not 0, and its std's gradient stays finite.
     """
     f = as_tensor(f)
     if f.ndim != 4:
         raise ShapeError(f"channel_stats expects a [B,C,H,W] map, got {f.shape}")
-    if epsilon < 0:
-        raise ValueError(f"channel_stats: epsilon must be >= 0, got {epsilon}")
     mean = f.mean(axis=(2, 3))  # [B, C]
     centered = f - mean.reshape(f.shape[0], f.shape[1], 1, 1)
     var = (centered * centered).mean(axis=(2, 3))
-    return ChannelStats(mean=mean, std=sqrt(var + epsilon))
+    return ChannelStats(mean=mean, std=sqrt(var + STAT_EPSILON))
 
 
 def _stat_plane(value, channels: int, name: str) -> Tensor:
@@ -76,18 +74,15 @@ def _stat_plane(value, channels: int, name: str) -> Tensor:
     raise ShapeError(f"{name}: stat vector must be [C] or [B,C], got {t.shape}")
 
 
-def statistic_match(f_con: Tensor, target: ChannelStats,
-                    epsilon: float = STAT_EPSILON) -> Tensor:
+def statistic_match(f_con: Tensor, target: ChannelStats) -> Tensor:
     """Re-normalize content features to carry the target per-channel stats.
 
-    out = (f - mean(f)) / std_eps(f) * target.std + target.mean, computed per
-    channel across spatial positions; ``epsilon`` guards the denominator so
-    constant channels map to the target mean.
+    out = (f - mean(f)) / std(f) * target.std + target.mean, computed per
+    channel across spatial positions; ``channel_stats``' ``STAT_EPSILON``
+    guards the denominator, so constant channels map to the target mean.
     """
     f_con = as_tensor(f_con)
-    if epsilon <= 0:
-        raise ValueError(f"statistic_match: epsilon must be > 0, got {epsilon}")
-    own = channel_stats(f_con, epsilon)
+    own = channel_stats(f_con)
     c = f_con.shape[1]
     mean_t = _stat_plane(target.mean, c, "statistic_match target mean")
     std_t = _stat_plane(target.std, c, "statistic_match target std")
@@ -96,37 +91,33 @@ def statistic_match(f_con: Tensor, target: ChannelStats,
     return (f_con - mean_o) / std_o * std_t + mean_t
 
 
-def _check_alpha(alpha: float) -> float:
+def _blend_stats(stats1: ChannelStats, stats2: ChannelStats, alpha: float) -> ChannelStats:
+    """The (1-alpha) stats1 + alpha stats2 blend of both the means and the stds."""
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
 
+    def blend(a, b):
+        return as_tensor(a) * (1.0 - alpha) + as_tensor(b) * alpha
 
-def _blend(a, b, alpha: float) -> Tensor:
-    return as_tensor(a) * (1.0 - alpha) + as_tensor(b) * alpha
+    return ChannelStats(mean=blend(stats1.mean, stats2.mean), std=blend(stats1.std, stats2.std))
 
 
 # kept by name: perfbench/tracer.py wraps it, and the benchmark's smoke test fails without it
 def tradeoff_mix(f_con: Tensor, con_stats: ChannelStats, sty_stats: ChannelStats,
-                 alpha: float, epsilon: float = STAT_EPSILON) -> Tensor:
+                 alpha: float) -> Tensor:
     """Statistic match against a (1-alpha) content / alpha style stat blend.
 
     alpha 0 reproduces the content image's own style, alpha 1 is the fully
     stylized match.
     """
-    return style_interpolate(f_con, con_stats, sty_stats, alpha, epsilon)
+    return style_interpolate(f_con, con_stats, sty_stats, alpha)
 
 
 def style_interpolate(f_con: Tensor, stats1: ChannelStats, stats2: ChannelStats,
-                      alpha: float, epsilon: float = STAT_EPSILON) -> Tensor:
+                      alpha: float) -> Tensor:
     """Statistic match against an interpolation between two style stats."""
-    alpha = _check_alpha(alpha)
-    blended = ChannelStats(
-        mean=_blend(stats1.mean, stats2.mean, alpha),
-        std=_blend(stats1.std, stats2.std, alpha),
-    )
-    return statistic_match(f_con, blended, epsilon)
+    return statistic_match(f_con, _blend_stats(stats1, stats2, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +136,7 @@ def content_loss(f_gen: Tensor, f_con: Tensor) -> Tensor:
     return (diff * diff).sum() / f_gen.size
 
 
-def style_loss(f_gen_layers, f_sty_layers, epsilon: float = 0.0) -> Tensor:
+def style_loss(f_gen_layers, f_sty_layers) -> Tensor:
     """Sum over layers of squared distances between channel means and stds."""
     if len(f_gen_layers) != len(f_sty_layers):
         raise ShapeError(
@@ -156,8 +147,8 @@ def style_loss(f_gen_layers, f_sty_layers, epsilon: float = 0.0) -> Tensor:
         raise ShapeError("style_loss needs at least one layer")
     total = None  # the first term starts the sum, so it keeps the maps' dtype
     for f_gen, f_sty in zip(f_gen_layers, f_sty_layers):
-        gen = channel_stats(f_gen, epsilon)
-        sty = channel_stats(f_sty, epsilon)
+        gen = channel_stats(f_gen)
+        sty = channel_stats(f_sty)
         dm = gen.mean - sty.mean
         ds = gen.std - sty.std
         total = (dm * dm).sum() if total is None else total + (dm * dm).sum()
@@ -195,10 +186,11 @@ class NstConfig:
     """Desk-scale network plan.
 
     conv_plan lists the shared (kernel, stride, channels) convolution blocks
-    of both encoders; the mixing layer width is the last entry's channel
-    count and the style encoder's fully connected head emits twice that many
-    values (mean then std). n_content_res residual blocks follow the content
-    encoder's plan and open the decoder.
+    of both encoders. A stride is 1 or 2, since the decoder inverts each
+    strided block by one x2 upsampling. The mixing layer width is the last
+    entry's channel count and the style encoder's fully connected head emits
+    twice that many values (mean then std). n_content_res residual blocks
+    follow the content encoder's plan and open the decoder.
     """
 
     conv_plan: tuple = ((3, 1, 16), (3, 2, 32), (3, 2, 64))
@@ -211,10 +203,10 @@ class NstConfig:
             if len(block) != 3:
                 raise ValueError(f"conv_plan block {block} is not (kernel, stride, channels)")
             k, stride, channels = block
-            if k < 1 or k % 2 == 0 or stride < 1 or channels < 1:
+            if k < 1 or k % 2 == 0 or stride not in (1, 2) or channels < 1:
                 raise ValueError(
-                    f"conv_plan block {block} needs an odd kernel >= 1, "
-                    f"stride >= 1 and channels >= 1"
+                    f"conv_plan block {block} needs an odd kernel >= 1, channels >= 1 "
+                    f"and stride 1 or 2: the decoder inverts a stride by one x2 upsampling"
                 )
         if self.n_content_res < 0:
             raise ValueError(f"n_content_res must be >= 0, got {self.n_content_res}")
@@ -318,15 +310,22 @@ class NstNet(Model):
         out = self._conv_block(f"{name}.conv1", out, 1, slope)
         return x + out
 
+    def _encode(self, prefix: str, x: Tensor, n_res: int):
+        """One encoder's ``conv_plan`` blocks, then ``n_res`` residual blocks;
+        returns the features and the spatial sizes eaten by each stride."""
+        sizes = []
+        for i, (_, stride, _) in enumerate(self.config.conv_plan):
+            if stride > 1:
+                sizes.append((x.shape[2], x.shape[3]))
+            x = self._conv_block(f"{prefix}.conv{i}", x, stride)
+        for i in range(n_res):
+            x = self._res_block(f"{prefix}.res{i}", x)
+        return x, sizes
+
     def style_encode(self, x) -> ChannelStats:
         """Regress per-channel (mean, std) mixing targets from a style image."""
-        x = self._check_image(x, "style")
         cfg = self.config
-        out = x
-        for i, (_, stride, _) in enumerate(cfg.conv_plan):
-            out = self._conv_block(f"style_enc.conv{i}", out, stride)
-        for i in range(N_STYLE_RES):
-            out = self._res_block(f"style_enc.res{i}", out)
+        out, _ = self._encode("style_enc", self._check_image(x, "style"), N_STYLE_RES)
         pooled = global_avg_pool(out).reshape(out.shape[0], cfg.mix_channels)
         head = fully_connected(pooled, self.params["style_enc.fc.weight"],
                                self.params["style_enc.fc.bias"])
@@ -335,17 +334,8 @@ class NstNet(Model):
 
     def content_encode(self, x):
         """Content feature maps plus the spatial sizes eaten by each stride."""
-        x = self._check_image(x, "content")
-        cfg = self.config
-        out = x
-        sizes = []
-        for i, (_, stride, _) in enumerate(cfg.conv_plan):
-            if stride > 1:
-                sizes.append((out.shape[2], out.shape[3]))
-            out = self._conv_block(f"content_enc.conv{i}", out, stride)
-        for i in range(cfg.n_content_res):
-            out = self._res_block(f"content_enc.res{i}", out)
-        return out, sizes
+        return self._encode("content_enc", self._check_image(x, "content"),
+                            self.config.n_content_res)
 
     def decode(self, f: Tensor, sizes) -> Tensor:
         """Map mixed features back to image space (linear output)."""
@@ -375,11 +365,8 @@ class NstNet(Model):
     def forward_interpolate(self, style1_img, style2_img, content_img,
                             alpha: float) -> Tensor:
         """Interpolate between two style statistics."""
-        stats1 = self.style_encode(style1_img)
-        stats2 = self.style_encode(style2_img)
-        f, sizes = self.content_encode(content_img)
-        mixed = style_interpolate(f, stats1, stats2, alpha)
-        return self.decode(mixed, sizes)
+        stats = _blend_stats(self.style_encode(style1_img), self.style_encode(style2_img), alpha)
+        return self.decode(*self.mix_features(content_img, stats))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +435,6 @@ def nst_objective(extractor: FeatureExtractor, generated: Tensor, content_img, s
     con_taps = extractor.taps(_constant(content_img))
     sty_taps = extractor.taps(_constant(style_img))
     lc = content_loss(gen_taps[-1], con_taps[-1])
-    ls = style_loss(gen_taps, sty_taps, epsilon=STAT_EPSILON)
+    ls = style_loss(gen_taps, sty_taps)
     ltv = tv_loss(generated)
     return total_loss(lc, ls, ltv), (lc, ls, ltv)

@@ -7,6 +7,8 @@ one, backward, clip, Adam. ``train`` feeds it a batch's weighted L1 and
 parameters' dtype: every forward, backward, clip and Adam step runs in it.
 The corpus caches its images in float32 too, so batches and evaluation chunks
 are stacked in that dtype and reach the net without a cast copy.
+Adam's learning rate lives only on ``AdamState``: ``train`` steps with the one it is
+passed, or a fresh ``AdamState()``'s 2e-4.
 With a fixed seed and single-threaded execution every run is bit-reproducible.
 Checkpoints serialize named tensors in 32-bit, the model's whole config among
 them as a byte record, so every model round-trips through one bit for bit.
@@ -153,14 +155,18 @@ def load_checkpoint(path) -> dict:
 class AdamState:
     """The learning rate, the step count and the first/second moment buffers.
 
-    ``adam_step`` creates each moment buffer C-contiguous with its
-    parameter's shape and updates it in place.
+    The rate must be finite and > 0. ``adam_step`` creates each moment buffer
+    C-contiguous with its parameter's shape and updates it in place.
     """
 
     learning_rate: float = 2e-4
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.learning_rate > 0 or not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 def adam_step(params, state: AdamState) -> None:
@@ -277,7 +283,6 @@ class TrainConfig:
     # of one, so the style encoder would get an all-zero gradient
     batch_size: ClassVar[int] = 4
     steps: int = 2000
-    learning_rate: float = 2e-4
     n_t: int = 20000
     r: int = 4
     seed: int = 0
@@ -286,8 +291,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if not self.learning_rate > 0 or not math.isfinite(self.learning_rate):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.start_step < 0:
             raise ValueError(f"start_step must be >= 0, got {self.start_step}")
 
@@ -307,9 +310,11 @@ class SuiteMetrics:
 
 def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
           adam: AdamState | None = None, log_path=None) -> TrainResult:
-    """Optimize the weighted L1 objective over d1 triplets, clipping the global
-    gradient norm at ``CLIP_NORM``. Without ``net``, it trains a fresh
-    ``FontNetConfig(image_size, ref_count=r)`` net seeded with ``config.seed``.
+    """Optimize the weighted L1 objective over d1 triplets by Adam at
+    ``adam.learning_rate``, clipping the global gradient norm at ``CLIP_NORM``.
+    Without ``net``, it trains a fresh ``FontNetConfig(image_size, ref_count=r)``
+    net seeded with ``config.seed``; without ``adam``, it steps a fresh
+    ``AdamState()``, at rate 2e-4.
 
     Deterministic for a fixed config and corpus in single-threaded execution.
     Writes "step,loss,wall_ms" lines to ``log_path`` when given: a run that
@@ -340,7 +345,7 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
             f"{corpus.config.image_size}px"
         )
     if adam is None:
-        adam = AdamState(learning_rate=config.learning_rate)
+        adam = AdamState()
     _check_rate(adam.learning_rate, net.dtype)
     mode = "a" if config.start_step else "w"  # a continued run extends its log
     log_file = open(log_path, mode, encoding="ascii") if log_path else None

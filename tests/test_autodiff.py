@@ -496,25 +496,26 @@ class TestBatchNorm:
     def test_train_mode_output_statistics(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(2.0, 3.0, size=(4, 3, 8, 8)))
-        y = ad.batchnorm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), epsilon=1e-9)
+        y = ad.batchnorm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
         mean = y.data.mean(axis=(0, 2, 3))
         var = y.data.var(axis=(0, 2, 3))
+        x_var = x.data.var(axis=(0, 2, 3))
         assert np.abs(mean).max() <= 1e-9
-        assert np.abs(var - 1.0).max() <= 1e-6
+        assert np.abs(var - x_var / (x_var + ad.BN_EPSILON)).max() <= 1e-12
 
     def test_eval_mode_uses_running_stats(self):
         stats = ChannelStats(mean=np.array([1.0]), std=np.array([2.0]))
         x = Tensor(np.full((1, 1, 2, 2), 5.0))
         y = ad.batchnorm2d(x, Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                           mode="eval", running_stats=stats, epsilon=1e-12)
-        assert np.allclose(y.data, (5.0 - 1.0) / 2.0, atol=1e-6)
+                           mode="eval", running_stats=stats)
+        assert np.allclose(y.data, (5.0 - 1.0) / np.sqrt(4.0 + ad.BN_EPSILON), atol=1e-12)
 
     def test_running_stats_move_toward_batch(self):
         stats = ChannelStats(mean=np.zeros(2), std=np.ones(2))
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(5.0, 1.0, size=(4, 2, 6, 6)))
         ad.batchnorm2d(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                       running_stats=stats, momentum=0.1)
+                       running_stats=stats)
         assert np.all(stats.mean > 0.3)
 
     def test_rejects_channel_mismatch(self):
@@ -611,7 +612,7 @@ class TestBatchNorm:
                              std=np.ones(2, dtype=stats_dtype))
         x = np.random.default_rng(9).normal(5.0, 1.0, size=(4, 2, 6, 6)).astype(x_dtype)
         ad.batchnorm2d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                       running_stats=stats, momentum=0.1)
+                       running_stats=stats)
         assert stats.mean.dtype == stats.std.dtype == stats_dtype
         assert np.all(stats.mean > 0.3)
 

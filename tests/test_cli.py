@@ -16,7 +16,7 @@ from stylemix.autodiff import Tensor
 from stylemix.cli import main
 from stylemix.fontnet import FontNet, config_record
 from stylemix.nst import NstConfig, NstNet
-from stylemix.training import load_checkpoint, save_checkpoint
+from stylemix.training import AdamState, TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 def run(*argv) -> int:
@@ -170,6 +170,25 @@ class TestTrainCommand:
                    "--out", str(tmp_path / "x.ckpt")) == 3
         lineno = 3 if line == "styles" else 4
         assert f"manifest.txt:{lineno}: {line} {count}" in capsys.readouterr().err
+
+    def test_lr_reaches_adam(self, tmp_path):
+        """--lr sets the rate Adam steps with: the checkpoint and logged losses equal
+        an in-process run stepping AdamState(learning_rate=1e-2), and differ from 2e-4's."""
+        corpus = tmp_path / "c"
+        assert run("corpus", "--out", str(corpus), "--styles", "8", "--contents", "8",
+                   "--size", "16") == 0
+        logged = {}
+        for lr in ("1e-2", "2e-4"):
+            assert run("train", "--corpus", str(corpus), "--r", "2", "--nt", "20",
+                       "--steps", "3", "--lr", lr, "--out", str(tmp_path / f"{lr}.ckpt")) == 0
+            lines = (tmp_path / f"{lr}.ckpt.log").read_text().splitlines()
+            logged[lr] = [line.split(",")[1] for line in lines]
+        result = train(TrainConfig(steps=3, n_t=20, r=2), glyphs.load_corpus(corpus),
+                       adam=AdamState(learning_rate=1e-2))
+        save_checkpoint(tmp_path / "in_process.ckpt", result.net.state_arrays())
+        assert (tmp_path / "in_process.ckpt").read_bytes() == (tmp_path / "1e-2.ckpt").read_bytes()
+        assert logged["1e-2"] == [f"{loss:.10g}" for loss in result.losses]
+        assert logged["1e-2"][1:] != logged["2e-4"][1:]
 
     def test_missing_corpus_exits_with_data_error(self, tmp_path):
         assert run("train", "--corpus", str(tmp_path / "nowhere"), "--steps", "1",
@@ -337,6 +356,24 @@ class TestNstCommand:
         assert rc == 3
         assert "meta.nst" in capsys.readouterr().err
 
+    def test_stride_the_decoder_cannot_invert_is_a_data_error(self, corpus_dir, nst_ckpt,
+                                                              tmp_path, capsys):
+        """A stride-3 block would decode the 32 px content image to 22 px. The record
+        is written as JSON bytes, since config_record refuses the plan."""
+        arrays = load_checkpoint(nst_ckpt)
+        record = {"conv_plan": [[3, 1, 16], [3, 3, 32], [3, 2, 64]], "n_content_res": 4}
+        arrays["meta.nst"] = np.frombuffer(json.dumps(record).encode("utf-8"),
+                                           dtype=np.uint8).astype(np.float64)
+        bad = tmp_path / "stride3.ckpt"
+        save_checkpoint(bad, arrays)
+        out = tmp_path / "x.ppm"
+        rc = run("nst", "--style", str(corpus_dir / "style0000_content0000.pgm"),
+                 "--content", str(corpus_dir / "style0001_content0001.pgm"),
+                 "--ckpt", str(bad), "--alpha", "0.5", "--out", str(out))
+        assert rc == 3
+        assert "meta.nst" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_huge_record_is_a_data_error_within_4_gb(self, corpus_dir, nst_ckpt, tmp_path):
         """A record 10**12 channels wide exits 3 naming meta.nst. The run is capped
         at 4 GB of address space, so an allocation of what the record describes
@@ -418,3 +455,20 @@ class TestUsageErrors:
 
     def test_missing_required_flag_rejected(self):
         assert run("corpus") == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("corpus", "--out", "{out}", "--seed", "-1"), "--seed"),
+        (("train", "--corpus", "{corpus}", "--r", "2", "--nt", "10", "--steps", "1",
+          "--out", "{out}", "--seed", "-1"), "--seed"),
+        (("eval", "--ckpt", "{ckpt}", "--corpus", "{corpus}", "--seed", "-1"), "--seed"),
+        (("nst-init", "--out", "{out}", "--seed", "-1"), "--seed"),
+        (("eval", "--ckpt", "{ckpt}", "--corpus", "{corpus}", "--per-set", "-1"), "--per-set"),
+        (("eval", "--ckpt", "{ckpt}", "--corpus", "{corpus}", "--per-set", "0"), "--per-set"),
+    ], ids=["corpus-seed", "train-seed", "eval-seed", "nst-init-seed", "eval-per-set",
+            "eval-per-set-zero"])
+    def test_out_of_range_count_is_a_usage_error_naming_its_flag(
+            self, corpus_dir, font_ckpt, tmp_path, capsys, argv, flag):
+        paths = dict(corpus=corpus_dir, ckpt=font_ckpt, out=tmp_path / "out")
+        assert run(*(arg.format(**paths) for arg in argv)) == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

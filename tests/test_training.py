@@ -396,9 +396,10 @@ class TestCheckpointFormat:
 class TestTrain:
     @pytest.mark.parametrize("_smoke", [0])
     def test_log_lines_are_parseable(self, corpus, tmp_path, _smoke):
-        config = TrainConfig(steps=3, learning_rate=1e-3, seed=1, **MICRO_TRAIN)
+        config = TrainConfig(steps=3, seed=1, **MICRO_TRAIN)
         log_path = tmp_path / "run.log"
-        result = train(config, corpus, net=micro_net(1), log_path=log_path)
+        result = train(config, corpus, net=micro_net(1), adam=AdamState(learning_rate=1e-3),
+                       log_path=log_path)
         assert len(result.losses) == 3
         for line in log_path.read_text().splitlines():
             step, loss, wall = line.split(",")
@@ -426,7 +427,7 @@ class TestTrain:
         # a pool of one triplet (n_t=1): every batch holds only it
         decreased = 0
         for seed in range(20):
-            config = TrainConfig(steps=1, learning_rate=1e-3, n_t=1, r=2, seed=seed)
+            config = TrainConfig(steps=1, n_t=1, r=2, seed=seed)
             net = micro_net(seed)
 
             def triplet_loss():
@@ -436,7 +437,7 @@ class TestTrain:
                 return weighted_l1_loss(out, targets).item()
 
             before = triplet_loss()
-            train(config, corpus, net=net)
+            train(config, corpus, net=net, adam=AdamState(learning_rate=1e-3))
             after = triplet_loss()
             decreased += after < before
         assert decreased >= 18
@@ -479,31 +480,32 @@ class TestTrain:
         ("start_step", -5),
     ])
     def test_rejects_values_the_code_cannot_use(self, name, value):
-        """A NaN rate writes NaN weights and a zero one moves none."""
+        """A NaN rate writes NaN weights and a zero one moves none; the rate is Adam's."""
+        owner = AdamState if name == "learning_rate" else TrainConfig
         with pytest.raises(ValueError, match=name):
-            TrainConfig(**{name: value})
+            owner(**{name: value})
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_rejects_an_infinite_learning_rate(self, value):
         with pytest.raises(ValueError, match="learning_rate"):
-            TrainConfig(learning_rate=value)
+            AdamState(learning_rate=value)
 
     @pytest.mark.parametrize("rate", [1e300, 3.5e38])
     def test_rejects_a_rate_beyond_float32_before_any_update(self, corpus, rate):
         """Finite in float64, inf in float32: Adam would turn every weight into NaN."""
-        config = TrainConfig(steps=2, learning_rate=rate, **MICRO_TRAIN)
+        config = TrainConfig(steps=2, **MICRO_TRAIN)
         net = micro_net()
         before = {name: p.data.copy() for name, p in net.params.items()}
         with pytest.raises(ValueError, match="learning_rate .* non-finite in float32"):
-            train(config, corpus, net=net)
+            train(config, corpus, net=net, adam=AdamState(learning_rate=rate))
         for name, p in net.params.items():
             assert np.array_equal(p.data, before[name]), name
 
     def test_a_rate_beyond_float32_creates_no_log(self, corpus, tmp_path):
-        config = TrainConfig(steps=1, learning_rate=1e300, **MICRO_TRAIN)
+        config = TrainConfig(steps=1, **MICRO_TRAIN)
         log_path = tmp_path / "run.log"
         with pytest.raises(ValueError, match="learning_rate"):
-            train(config, corpus, log_path=log_path)
+            train(config, corpus, adam=AdamState(learning_rate=1e300), log_path=log_path)
         assert not log_path.exists()
 
     def test_trains_in_float32(self, corpus, monkeypatch):
@@ -594,7 +596,7 @@ class TestTrain:
         """Eval-mode batch norm updates no running statistics, so evaluate() is invisible."""
         config = TrainConfig(steps=4, seed=5, **MICRO_TRAIN)
         whole = train(config, corpus, net=micro_net(5))
-        adam = AdamState(learning_rate=config.learning_rate)
+        adam = AdamState()
         first = train(TrainConfig(steps=2, seed=5, **MICRO_TRAIN), corpus, net=micro_net(5),
                       adam=adam)
         evaluate(first.net, build_eval_sets(corpus, r=2, seed=0, per_set=2))
