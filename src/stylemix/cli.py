@@ -27,11 +27,9 @@ from stylemix import glyphs, netpbm
 from stylemix.autodiff import Tensor
 from stylemix.fontnet import FontNet
 from stylemix.glyphs import CorpusError
-from stylemix.netpbm import NetpbmError
 from stylemix.nst import NstConfig, NstNet
 from stylemix.training import (
     AdamState,
-    CheckpointError,
     TrainConfig,
     TrainingError,
     check_finite,
@@ -203,7 +201,7 @@ def _cmd_nst(args, parser) -> int:
     else:
         # trade-off: interpolate from the content's own statistics to the style's
         out = net.forward_interpolate(content, style, content, args.alpha)
-    netpbm.write_ppm(args.out, np.clip(out.data[0], 0.0, 1.0))
+    netpbm.write_ppm(args.out, out.data[0])  # quantize clips to 0-255
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -228,8 +226,9 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (NetpbmError, CorpusError, CheckpointError, ValueError, OSError,
-            MemoryError) as exc:  # an input whose arrays exceed the machine's memory
+    # NetpbmError, CorpusError and CheckpointError are ValueErrors; a
+    # MemoryError is an input whose arrays exceed the machine's memory
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

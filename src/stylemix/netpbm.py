@@ -15,9 +15,14 @@ class NetpbmError(ValueError):
 
 
 def quantize(image: np.ndarray) -> np.ndarray:
-    """Map floats in [0, 1] to uint8 via round(255 * value)."""
-    arr = np.asarray(image, dtype=np.float64)
-    return np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
+    """Map floats in [0, 1] to uint8 via round(255 * value), clipped to 0-255.
+
+    The arithmetic runs in place in one float64 copy of ``image``.
+    """
+    arr = np.multiply(image, 255.0, dtype=np.float64)
+    np.rint(arr, out=arr)
+    np.clip(arr, 0, 255, out=arr)
+    return arr.astype(np.uint8)
 
 
 def _check_finite(arr: np.ndarray, writer: str) -> None:

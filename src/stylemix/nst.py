@@ -12,6 +12,16 @@ convolutional network (taps after every stage, content tap at the last); a
 pretrained extractor in the project checkpoint format loads in its place
 through ``FeatureExtractor.from_state``, provided its stages are 3x3,
 stride-2 convolutions over RGB.
+
+Only the encoders' blocks up to the first stride-2 one and the decoder's last
+upsampling block and output conv work at the image's full resolution. When no
+``Graph`` is active, each of these chains runs patch by patch in row bands
+(as in MCUNetV2, arXiv 2110.15352): every band reads its halo rows from its
+neighbours and writes its rows straight into the chain's output, so no
+full-resolution map is held whole and the 256 px forward's traced peak falls
+from 15.4 to 8.4 MiB. The output is the whole-map output up to BLAS
+rounding: where a band splits a conv GEMM's columns differently, an element
+can round differently (by about 1e-6, seen at some odd widths).
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from stylemix.autodiff import (
     ChannelStats,
     ShapeError,
     Tensor,
+    _graph_stack,
     as_tensor,
     conv2d,
     fully_connected,
@@ -38,6 +49,9 @@ from stylemix.fontnet import Model, SeededInit
 STAT_EPSILON = 1e-8  # added to every channel's variance under the root
 IMAGE_CHANNELS = 3  # RGB, the input and output of NstNet and FeatureExtractor
 N_STYLE_RES = 1  # residual blocks after the style encoder's conv_plan
+# elements, not bytes, per row band of a full-resolution chain's widest map:
+# 1 MiB in float32, 2 MiB in float64 (see _in_bands)
+BAND_ELEMENTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +242,48 @@ def _crop(x: Tensor, h: int, w: int) -> Tensor:
     return x if x.shape[2:] == (h, w) else x[:, :, :h, :w]
 
 
+def _rows(x: Tensor, r0: int, r1: int) -> Tensor:
+    """``x[:, :, r0:r1]``, taping no slice when that is all of ``x``."""
+    return x if (r0, r1) == (0, x.shape[2]) else x[:, :, r0:r1]
+
+
+def _band(steps, x: Tensor, r0: int, r1: int) -> Tensor:
+    """Output rows ``r0:r1`` of the ``(window, run)`` steps applied to x in turn.
+
+    ``window(r0, r1)`` names the input rows ``a:b`` a step needs for its
+    output rows ``r0:r1``, and ``run(slab, r0, r1)`` computes those from the
+    slab of rows ``a:b``; each step's window is taken back from the last.
+    """
+    spans = [(r0, r1)]
+    for window, _ in reversed(steps):
+        spans.insert(0, window(*spans[0]))
+    out = _rows(x, *spans[0])
+    for (_, run), span in zip(steps, spans[1:]):
+        out = run(out, *span)
+    return out
+
+
+def _in_bands(steps, x: Tensor, n_out: int, widest: int) -> Tensor:
+    """The steps of ``_band`` over all ``n_out`` output rows, one row band at a time.
+
+    A band is max(1, BAND_ELEMENTS // widest) output rows, ``widest`` being
+    the elements per row (channels x width) of the chain's widest map, and
+    its rows are copied straight into the output, so no map of the chain is
+    held whole. Under an active Graph, or when one band covers the output,
+    a single band runs and takes no slice, so it tapes the unbanded ops.
+    """
+    rows = max(1, BAND_ELEMENTS // widest)
+    if _graph_stack() or rows >= n_out:  # a tape would keep every band's maps
+        return _band(steps, x, 0, n_out)
+    out = None
+    for r0 in range(0, n_out, rows):
+        band = _band(steps, x, r0, min(r0 + rows, n_out)).data
+        if out is None:
+            out = np.empty(band.shape[:2] + (n_out,) + band.shape[3:], dtype=band.dtype)
+        out[:, :, r0:r0 + band.shape[2]] = band
+    return Tensor(out)
+
+
 def _he_std(cin: int, k: int) -> float:
     return float(np.sqrt(2.0 / (cin * k * k)))
 
@@ -310,11 +366,68 @@ class NstNet(Model):
         out = self._conv_block(f"{name}.conv1", out, 1, slope)
         return x + out
 
+    def _conv_step(self, name: str, n_in: int, stride: int = 1, act=None, crop_w=None):
+        """The conv ``name`` as a ``(window, run)`` step of ``_band``.
+
+        The conv reads a map ``n_in`` rows high, then applies ``act`` if one
+        is given. With ``crop_w`` the step first upsamples its input x2 and
+        crops it to ``n_in`` x ``crop_w``, as ``decode`` does. A band's conv
+        runs with its usual padding on a slab that starts on a multiple of
+        the stride, so each kept row reads exactly the rows it reads in the
+        whole map: the slab's padding reaches only the rows dropped at its
+        ends, except at the map's true top and bottom edges.
+        """
+        k = self.params[f"{name}.kernel"].shape[2]
+        pad = (k - 1) // 2
+        n_out = (n_in - 1) // stride + 1
+
+        def conv_rows(r0, r1):
+            a = max(r0 * stride - pad, 0) // stride * stride
+            b = n_in if r1 == n_out else min((r1 - 1) * stride - pad + k, n_in)
+            return a, b
+
+        def window(r0, r1):
+            a, b = conv_rows(r0, r1)
+            return (a // 2, (b - 1) // 2 + 1) if crop_w else (a, b)
+
+        def run(slab, r0, r1):
+            a, b = conv_rows(r0, r1)
+            if crop_w:
+                # the slab starts at row a // 2, so its upsampling at row a - a % 2
+                up = upsample_nearest(slab, 2)
+                out = self._conv(name, _crop(_rows(up, a % 2, up.shape[2]), b - a, crop_w))
+                del up  # without a tape, freed before act allocates
+            else:
+                out = self._conv(name, slab, stride)
+            if act:
+                out = act(out)
+            return _rows(out, r0 - a // stride, r1 - a // stride)
+
+        return window, run
+
     def _encode(self, prefix: str, x: Tensor, n_res: int):
         """One encoder's ``conv_plan`` blocks, then ``n_res`` residual blocks;
-        returns the features and the spatial sizes eaten by each stride."""
-        sizes = []
-        for i, (_, stride, _) in enumerate(self.config.conv_plan):
+        returns the features and the spatial sizes eaten by each stride.
+
+        The blocks up to and including the first stride-2 one work at the
+        input's full resolution; without a tape they run in row bands of
+        that block's output (``_in_bands``), so none of their maps is held
+        whole. A plan with no stride-2 block has nothing to band.
+        """
+        plan = self.config.conv_plan
+        head = next((i + 1 for i, (_, stride, _) in enumerate(plan) if stride > 1), 0)
+        sizes, steps = [], []
+        h, w = x.shape[2:]
+        widest = x.shape[1] * w
+        for i, (_, stride, channels) in enumerate(plan[:head]):
+            if stride > 1:
+                sizes.append((h, w))
+            steps.append(self._conv_step(f"{prefix}.conv{i}", h, stride, leaky_relu))
+            h, w = (h - 1) // stride + 1, (w - 1) // stride + 1
+            widest = max(widest, channels * w)
+        if steps:
+            x = _in_bands(steps, x, h, widest)
+        for i, (_, stride, _) in enumerate(plan[head:], head):
             if stride > 1:
                 sizes.append((x.shape[2], x.shape[3]))
             x = self._conv_block(f"{prefix}.conv{i}", x, stride)
@@ -338,7 +451,13 @@ class NstNet(Model):
                             self.config.n_content_res)
 
     def decode(self, f: Tensor, sizes) -> Tensor:
-        """Map mixed features back to image space (linear output)."""
+        """Map mixed features back to image space (linear output).
+
+        The last upsampling block (x2 upsampling, crop, conv, relu) and
+        ``decoder.out`` work at the image's full resolution; without a tape
+        they run in row bands of the output (``_in_bands``), so none of
+        their maps is held whole.
+        """
         cfg = self.config
         out = f
         for i in range(cfg.n_content_res):
@@ -346,12 +465,19 @@ class NstNet(Model):
         n_up = sum(1 for _, stride, _ in cfg.conv_plan if stride > 1)
         if len(sizes) != n_up:
             raise ShapeError(f"decode expects {n_up} recorded sizes, got {len(sizes)}")
-        for i in range(n_up):
+        if not n_up:
+            return self._conv("decoder.out", out)
+        for i in range(n_up - 1):
             h, w = sizes[len(sizes) - 1 - i]
             # no name holds the upsampled map, so without a tape it is freed
             # as soon as the conv returns, before relu allocates
             out = relu(self._conv(f"decoder.up{i}", _crop(upsample_nearest(out, 2), h, w)))
-        return self._conv("decoder.out", out)
+        h, w = sizes[0]
+        last = f"decoder.up{n_up - 1}"
+        steps = [self._conv_step(last, h, act=relu, crop_w=w),
+                 self._conv_step("decoder.out", h)]
+        widest = max(out.shape[1], self.params[f"{last}.kernel"].shape[0]) * w
+        return _in_bands(steps, out, h, widest)
 
     def mix_features(self, content_img, stats: ChannelStats):
         """Content features re-normalized to ``stats``, plus the decoder's sizes."""

@@ -1,6 +1,7 @@
 """Synthetic corpus: specs, rendering, partition, samplers, export round-trip."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,29 @@ class TestNetpbm:
         back = netpbm.read_image(path)
         assert back.shape == (3, 4, 5)
         assert np.abs(back - image).max() <= 0.5 / 255 + 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_quantize_equals_the_clipped_rounded_scale(self, dtype):
+        """Bitwise the out-of-place clip(rint(255 x), 0, 255), halves and out-of-range too."""
+        rng = np.random.default_rng(2)
+        values = np.concatenate([rng.uniform(-0.5, 1.5, size=2000),
+                                 (np.arange(256) + 0.5) / 255.0, [-0.0, 0.0, 1.0]])
+        image = values.astype(dtype)
+        kept = image.copy()
+        want = np.clip(np.rint(np.asarray(image, dtype=np.float64) * 255.0), 0, 255)
+        assert np.array_equal(netpbm.quantize(image), want.astype(np.uint8))
+        assert np.array_equal(image, kept)  # the caller's array is not written
+
+    def test_ppm_write_holds_one_float64_copy(self, tmp_path):
+        image = np.random.default_rng(3).uniform(size=(3, 512, 512)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            netpbm.write_ppm(tmp_path / "big.ppm", image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 copy and the uint8 bytes it becomes; four float64 temporaries before
+        assert peak <= image.size * (8 + 1) + (64 << 10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_writers_reject_non_finite_pixels_before_opening(self, tmp_path, bad):

@@ -1,6 +1,7 @@
 """Channel statistics, statistic matching, stylization losses and networks."""
 
 import dataclasses
+import functools
 import json
 import tracemalloc
 
@@ -10,7 +11,16 @@ import pytest
 from gradcheck import check_gradients
 
 from stylemix import netpbm
-from stylemix.autodiff import ChannelStats, Graph, ShapeError, Tensor
+from stylemix import nst as nst_mod
+from stylemix.autodiff import (
+    ChannelStats,
+    Graph,
+    ShapeError,
+    Tensor,
+    conv2d,
+    relu,
+    upsample_nearest,
+)
 from stylemix.nst import (
     STAT_EPSILON,
     ExtractorConfig,
@@ -294,6 +304,30 @@ def nst_net():
     return NstNet.initialize(NstConfig(), seed=1)
 
 
+def _reference_encode(net, prefix, x, n_res):
+    """``NstNet._encode`` with every map held whole, block by block."""
+    sizes = []
+    for i, (_, stride, _) in enumerate(net.config.conv_plan):
+        if stride > 1:
+            sizes.append((x.shape[2], x.shape[3]))
+        x = net._conv_block(f"{prefix}.conv{i}", x, stride)
+    for i in range(n_res):
+        x = net._res_block(f"{prefix}.res{i}", x)
+    return x, sizes
+
+
+def _reference_decode(net, f, sizes):
+    """``NstNet.decode`` with every map held whole, block by block."""
+    out = f
+    for i in range(net.config.n_content_res):
+        out = net._res_block(f"decoder.res{i}", out, 0.0)
+    for i, (h, w) in enumerate(reversed(sizes)):
+        up = upsample_nearest(out, 2)
+        out = relu(net._conv(f"decoder.up{i}", up if up.shape[2:] == (h, w)
+                                     else up[:, :, :h, :w]))
+    return net._conv("decoder.out", out)
+
+
 class TestNstNet:
     def test_output_matches_content_size(self, nst_net):
         rng = np.random.default_rng(9)
@@ -308,15 +342,64 @@ class TestNstNet:
         style = Tensor(rng.uniform(size=(1, 3, 21, 19)))
         assert nst_net.forward(style, content).shape == (1, 3, 33, 37)
 
-    def test_decode_tapes_no_crop_at_even_sizes(self, nst_net):
+    def test_decode_tapes_no_crop_at_even_sizes(self, nst_net, monkeypatch):
+        """Under a Graph, even with 1-row bands asked for, the encoder and the
+        decoder tape one whole-map band: the reference's ops, in its order."""
+        monkeypatch.setattr(nst_mod, "BAND_ELEMENTS", 1)
         rng = np.random.default_rng(12)
         image = Tensor(rng.uniform(size=(1, 3, 32, 32)).astype(np.float32))
         mixed, sizes = nst_net.mix_features(image, nst_net.style_encode(image))
-        graph = Graph()
-        with graph:
-            nst_net.decode(mixed, sizes)
-        ops = {node.vjp.__qualname__.split(".")[0] for node in graph._nodes}
-        assert "upsample_nearest" in ops and "take" not in ops
+        tapes = {}
+        for name, encode, decode in (
+                ("banded", nst_net._encode, nst_net.decode),
+                ("reference", functools.partial(_reference_encode, nst_net),
+                 functools.partial(_reference_decode, nst_net))):
+            graph = Graph()
+            with graph:
+                encode("content_enc", image, nst_net.config.n_content_res)
+                decode(mixed, sizes)
+            tapes[name] = [node.vjp.__qualname__.split(".")[0] for node in graph._nodes]
+        assert tapes["banded"] == tapes["reference"]
+        assert "upsample_nearest" in tapes["banded"] and "take" not in tapes["banded"]
+
+    @pytest.mark.parametrize("config", [
+        NstConfig(),
+        NstConfig(conv_plan=((3, 2, 8), (3, 2, 16)), n_content_res=1),  # stride 2 first
+        NstConfig(conv_plan=((5, 1, 6), (3, 1, 8), (1, 2, 12), (3, 2, 16)), n_content_res=1),
+    ])
+    @pytest.mark.parametrize("shape", [(37, 29), (66, 64)])
+    def test_banded_output_equals_the_whole_map_output(self, monkeypatch, config, shape):
+        """1-row and few-row bands agree with one whole-map band, which is
+        bitwise the reference that holds every map whole."""
+        net = NstNet.initialize(config, seed=3)
+        rng = np.random.default_rng(list(shape))
+        style, content = (Tensor(rng.uniform(size=(2, 3) + shape).astype(np.float32))
+                          for _ in range(2))
+        mixed, sizes = net.mix_features(content, net.style_encode(style))
+        f, _ = _reference_encode(net, "content_enc", content, config.n_content_res)
+        reference = _reference_decode(net, mixed, sizes).data
+        convs = []
+
+        def counted(*args, **kwargs):
+            convs.append(1)
+            return conv2d(*args, **kwargs)
+
+        monkeypatch.setattr(nst_mod, "conv2d", counted)
+        outputs = {}
+        for band_elements in (1, 2000, 6000, 1 << 40):
+            monkeypatch.setattr(nst_mod, "BAND_ELEMENTS", band_elements)
+            convs.clear()
+            f_got = net.content_encode(content)[0].data
+            encode_convs = len(convs)
+            outputs[band_elements] = (f_got, encode_convs, net.decode(mixed, sizes).data,
+                                      len(convs) - encode_convs)
+        whole_f, whole_encode_convs, whole, whole_decode_convs = outputs.pop(1 << 40)
+        assert np.array_equal(whole_f, f.data) and np.array_equal(whole, reference)
+        # with 1-row bands, both full-resolution chains ran in more than one band
+        assert outputs[1][1] > whole_encode_convs and outputs[1][3] > whole_decode_convs
+        for got_f, _, got, _ in outputs.values():
+            assert np.abs(got_f - whole_f).max() <= 1e-5 * np.abs(whole_f).max()
+            assert np.abs(got - whole).max() <= 1e-5 * np.abs(whole).max()
 
     @pytest.mark.parametrize("px", [64, 65])
     def test_decode_equals_the_always_cropping_decoder(self, nst_net, monkeypatch, px):
@@ -469,7 +552,21 @@ class TestFloat32Inference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 28e6  # 17 MB measured; the same forward in float64: 34 MB
+        assert peak <= 28e6  # 8.8 MB measured; the same forward in float64: 17.6 MB
+
+    def test_forward_at_256_px_streams_its_full_resolution_layers(self, nets_by_dtype):
+        """Row bands bound the traced peak of the 256 px forward: 15.4 MiB with
+        every full-resolution map held whole, 8.4 MiB measured in bands."""
+        rng = np.random.default_rng(18)
+        style = Tensor(rng.uniform(size=(1, 3, 256, 256)).astype(np.float32))
+        content = Tensor(rng.uniform(size=(1, 3, 256, 256)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            nets_by_dtype[np.float32].forward_interpolate(content, style, content, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20
 
 
 class TestNstConfigValidation:
