@@ -67,9 +67,6 @@ class StyleSpec:
     scale: float
     darkness: float
 
-    def as_tuple(self) -> tuple:
-        return (self.stroke_thickness, self.slant, self.scale, self.darkness)
-
 
 @dataclass(frozen=True)
 class DatasetPartition:
@@ -79,13 +76,6 @@ class DatasetPartition:
     novel_styles: tuple
     known_contents: tuple
     novel_contents: tuple
-
-    def cell(self, style_id: int, content_id: int) -> str:
-        style_known = style_id in self.known_styles
-        content_known = content_id in self.known_contents
-        if style_known:
-            return "d1" if content_known else "d2"
-        return "d3" if content_known else "d4"
 
 
 @dataclass

@@ -13,15 +13,17 @@ pretrained extractor in the project checkpoint format loads in its place
 through ``FeatureExtractor.from_state``, provided its stages are 3x3,
 stride-2 convolutions over RGB.
 
-Only the encoders' blocks up to the first stride-2 one and the decoder's last
-upsampling block and output conv work at the image's full resolution. When no
-``Graph`` is active, each of these chains runs patch by patch in row bands
-(as in MCUNetV2, arXiv 2110.15352): every band reads its halo rows from its
-neighbours and writes its rows straight into the chain's output, so no
-full-resolution map is held whole and the 256 px forward's traced peak falls
-from 15.4 to 8.4 MiB. The output is the whole-map output up to BLAS
-rounding: where a band splits a conv GEMM's columns differently, an element
-can round differently (by about 1e-6, seen at some odd widths).
+The encoders and the decoder run stage by stage: an encoder stage is a run
+of ``conv_plan`` blocks that ends at a stride-2 block or at the plan's end,
+and a decoder stage is one up block, the output conv joining the last. When
+no ``Graph`` is active, each stage runs patch by patch in row bands (as in
+MCUNetV2, arXiv 2110.15352): every band reads its halo rows from its
+neighbours and writes its rows straight into the stage's output, so no map
+inside a stage is held whole, and the 256 px float32 forward's traced peak
+is 7.1 MiB (15.4 MiB with every map whole). Residual blocks run whole. The
+output is the whole-map output up to BLAS rounding: where a band splits a
+conv GEMM's columns differently, an element can round differently (by about
+1e-6, seen at some odd widths).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from stylemix.fontnet import Model, SeededInit
 STAT_EPSILON = 1e-8  # added to every channel's variance under the root
 IMAGE_CHANNELS = 3  # RGB, the input and output of NstNet and FeatureExtractor
 N_STYLE_RES = 1  # residual blocks after the style encoder's conv_plan
-# elements, not bytes, per row band of a full-resolution chain's widest map:
+# elements, not bytes, per row band of a stage's widest map:
 # 1 MiB in float32, 2 MiB in float64 (see _in_bands)
 BAND_ELEMENTS = 1 << 18
 
@@ -75,17 +77,13 @@ def channel_stats(f: Tensor) -> ChannelStats:
 
 
 def _stat_plane(value, channels: int, name: str) -> Tensor:
-    """Lift a stat vector ([C] or [B,C], Tensor or array) to a [*,C,1,1] tensor."""
+    """Lift a [B,C] stat vector (Tensor or array) to a [B,C,1,1] tensor."""
     t = as_tensor(value)
-    if t.ndim == 1:
-        if t.shape[0] != channels:
-            raise ShapeError(f"{name}: expected {channels} channels, got {t.shape[0]}")
-        return t.reshape(1, channels, 1, 1)
-    if t.ndim == 2:
-        if t.shape[1] != channels:
-            raise ShapeError(f"{name}: expected {channels} channels, got {t.shape[1]}")
-        return t.reshape(t.shape[0], channels, 1, 1)
-    raise ShapeError(f"{name}: stat vector must be [C] or [B,C], got {t.shape}")
+    if t.ndim != 2:
+        raise ShapeError(f"{name}: stat vector must be [B,C], got {t.shape}")
+    if t.shape[1] != channels:
+        raise ShapeError(f"{name}: expected {channels} channels, got {t.shape[1]}")
+    return t.reshape(t.shape[0], channels, 1, 1)
 
 
 def statistic_match(f_con: Tensor, target: ChannelStats) -> Tensor:
@@ -267,8 +265,8 @@ def _in_bands(steps, x: Tensor, n_out: int, widest: int) -> Tensor:
     """The steps of ``_band`` over all ``n_out`` output rows, one row band at a time.
 
     A band is max(1, BAND_ELEMENTS // widest) output rows, ``widest`` being
-    the elements per row (channels x width) of the chain's widest map, and
-    its rows are copied straight into the output, so no map of the chain is
+    the elements per row (channels x width) of the stage's widest map, and
+    its rows are copied straight into the output, so no map of the stage is
     held whole. Under an active Graph, or when one band covers the output,
     a single band runs and takes no slice, so it tapes the unbanded ops.
     """
@@ -282,6 +280,22 @@ def _in_bands(steps, x: Tensor, n_out: int, widest: int) -> Tensor:
             out = np.empty(band.shape[:2] + (n_out,) + band.shape[3:], dtype=band.dtype)
         out[:, :, r0:r0 + band.shape[2]] = band
     return Tensor(out)
+
+
+def _upsample_step(w: int):
+    """x2 nearest upsampling cropped to ``w`` columns, as a ``(window, run)``
+    step of ``_band``: a band's rows are cut from its slab's upsampling, so
+    the whole map's crop to an odd height falls in the last band."""
+
+    def window(r0, r1):
+        return r0 // 2, (r1 - 1) // 2 + 1
+
+    def run(slab, r0, r1):
+        # the slab starts at row r0 // 2, so its upsampling at row r0 - r0 % 2
+        up = upsample_nearest(slab, 2)
+        return _crop(_rows(up, r0 % 2, up.shape[2]), r1 - r0, w)
+
+    return window, run
 
 
 def _he_std(cin: int, k: int) -> float:
@@ -366,42 +380,31 @@ class NstNet(Model):
         out = self._conv_block(f"{name}.conv1", out, 1, slope)
         return x + out
 
-    def _conv_step(self, name: str, n_in: int, stride: int = 1, act=None, crop_w=None):
+    def _conv_step(self, name: str, n_in: int, stride: int = 1, act=None):
         """The conv ``name`` as a ``(window, run)`` step of ``_band``.
 
         The conv reads a map ``n_in`` rows high, then applies ``act`` if one
-        is given. With ``crop_w`` the step first upsamples its input x2 and
-        crops it to ``n_in`` x ``crop_w``, as ``decode`` does. A band's conv
-        runs with its usual padding on a slab that starts on a multiple of
-        the stride, so each kept row reads exactly the rows it reads in the
-        whole map: the slab's padding reaches only the rows dropped at its
-        ends, except at the map's true top and bottom edges.
+        is given. A band's conv runs with its usual padding on a slab that
+        starts on a multiple of the stride, so each kept row reads exactly
+        the rows it reads in the whole map: the slab's padding reaches only
+        the rows dropped at its ends, except at the map's true top and
+        bottom edges.
         """
         k = self.params[f"{name}.kernel"].shape[2]
         pad = (k - 1) // 2
         n_out = (n_in - 1) // stride + 1
 
-        def conv_rows(r0, r1):
+        def window(r0, r1):
             a = max(r0 * stride - pad, 0) // stride * stride
             b = n_in if r1 == n_out else min((r1 - 1) * stride - pad + k, n_in)
             return a, b
 
-        def window(r0, r1):
-            a, b = conv_rows(r0, r1)
-            return (a // 2, (b - 1) // 2 + 1) if crop_w else (a, b)
-
         def run(slab, r0, r1):
-            a, b = conv_rows(r0, r1)
-            if crop_w:
-                # the slab starts at row a // 2, so its upsampling at row a - a % 2
-                up = upsample_nearest(slab, 2)
-                out = self._conv(name, _crop(_rows(up, a % 2, up.shape[2]), b - a, crop_w))
-                del up  # without a tape, freed before act allocates
-            else:
-                out = self._conv(name, slab, stride)
+            out = self._conv(name, slab, stride)
             if act:
                 out = act(out)
-            return _rows(out, r0 - a // stride, r1 - a // stride)
+            a = window(r0, r1)[0] // stride
+            return _rows(out, r0 - a, r1 - a)
 
         return window, run
 
@@ -409,28 +412,24 @@ class NstNet(Model):
         """One encoder's ``conv_plan`` blocks, then ``n_res`` residual blocks;
         returns the features and the spatial sizes eaten by each stride.
 
-        The blocks up to and including the first stride-2 one work at the
-        input's full resolution; without a tape they run in row bands of
-        that block's output (``_in_bands``), so none of their maps is held
-        whole. A plan with no stride-2 block has nothing to band.
+        The blocks run in stages, a stage being the blocks up to and
+        including the next stride-2 block or the plan's last block; without
+        a tape each stage runs in row bands of its output (``_in_bands``), so
+        none of its maps is held whole.
         """
         plan = self.config.conv_plan
-        head = next((i + 1 for i, (_, stride, _) in enumerate(plan) if stride > 1), 0)
         sizes, steps = [], []
         h, w = x.shape[2:]
         widest = x.shape[1] * w
-        for i, (_, stride, channels) in enumerate(plan[:head]):
+        for i, (_, stride, channels) in enumerate(plan):
             if stride > 1:
                 sizes.append((h, w))
             steps.append(self._conv_step(f"{prefix}.conv{i}", h, stride, leaky_relu))
             h, w = (h - 1) // stride + 1, (w - 1) // stride + 1
             widest = max(widest, channels * w)
-        if steps:
-            x = _in_bands(steps, x, h, widest)
-        for i, (_, stride, _) in enumerate(plan[head:], head):
-            if stride > 1:
-                sizes.append((x.shape[2], x.shape[3]))
-            x = self._conv_block(f"{prefix}.conv{i}", x, stride)
+            if stride > 1 or i == len(plan) - 1:
+                x = _in_bands(steps, x, h, widest)
+                steps, widest = [], channels * w
         for i in range(n_res):
             x = self._res_block(f"{prefix}.res{i}", x)
         return x, sizes
@@ -453,10 +452,11 @@ class NstNet(Model):
     def decode(self, f: Tensor, sizes) -> Tensor:
         """Map mixed features back to image space (linear output).
 
-        The last upsampling block (x2 upsampling, crop, conv, relu) and
-        ``decoder.out`` work at the image's full resolution; without a tape
-        they run in row bands of the output (``_in_bands``), so none of
-        their maps is held whole.
+        After the residual blocks, each up block (x2 upsampling, crop, conv,
+        relu) is a stage, and ``decoder.out`` ends the last one, or is the
+        only one when the plan has no stride-2 block. Without a tape each
+        stage runs in row bands of its output (``_in_bands``), so none of its
+        maps is held whole.
         """
         cfg = self.config
         out = f
@@ -465,19 +465,16 @@ class NstNet(Model):
         n_up = sum(1 for _, stride, _ in cfg.conv_plan if stride > 1)
         if len(sizes) != n_up:
             raise ShapeError(f"decode expects {n_up} recorded sizes, got {len(sizes)}")
-        if not n_up:
-            return self._conv("decoder.out", out)
-        for i in range(n_up - 1):
-            h, w = sizes[len(sizes) - 1 - i]
-            # no name holds the upsampled map, so without a tape it is freed
-            # as soon as the conv returns, before relu allocates
-            out = relu(self._conv(f"decoder.up{i}", _crop(upsample_nearest(out, 2), h, w)))
-        h, w = sizes[0]
-        last = f"decoder.up{n_up - 1}"
-        steps = [self._conv_step(last, h, act=relu, crop_w=w),
-                 self._conv_step("decoder.out", h)]
-        widest = max(out.shape[1], self.params[f"{last}.kernel"].shape[0]) * w
-        return _in_bands(steps, out, h, widest)
+        h, w = out.shape[2:]
+        stages = [] if sizes else [([], h, max(out.shape[1], IMAGE_CHANNELS) * w)]
+        for i, (h, w) in enumerate(reversed(sizes)):
+            name = f"decoder.up{i}"
+            steps = [_upsample_step(w), self._conv_step(name, h, act=relu)]
+            stages.append((steps, h, max(self.params[f"{name}.kernel"].shape[:2]) * w))
+        stages[-1][0].append(self._conv_step("decoder.out", h))
+        for steps, h, widest in stages:
+            out = _in_bands(steps, out, h, widest)
+        return out
 
     def mix_features(self, content_img, stats: ChannelStats):
         """Content features re-normalized to ``stats``, plus the decoder's sizes."""

@@ -384,10 +384,10 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
 def evaluate(net: FontNet, suites: dict) -> dict:
     """Mean L1/RMSE/PDAR of eval-mode generations against targets per suite.
 
-    Each suite runs in chunks of ``EVAL_BATCH`` items: a chunk's reference
-    sets are stacked into [B, r, H, W] style and content arrays and go
-    through one batched ``net.generate_from_refs`` call. The per-item
-    metrics are summed in item order.
+    Each suite runs in chunks of ``EVAL_BATCH`` items: ``stack_triplets``
+    stacks a chunk's reference sets into [B, r, H, W] style and content
+    arrays, which go through one batched ``net.generate_from_refs`` call.
+    The per-item metrics are summed in item order.
     """
     results: dict = {}
     for cell, items in suites.items():
@@ -396,10 +396,8 @@ def evaluate(net: FontNet, suites: dict) -> dict:
         l1 = rmse = pdar = 0.0
         for start in range(0, len(items), EVAL_BATCH):
             chunk = items[start:start + EVAL_BATCH]
-            generated = net.generate_from_refs(
-                np.stack([item.style_refs.images for item in chunk]),
-                np.stack([item.content_refs.images for item in chunk]),
-            )
+            style, content, _ = stack_triplets(chunk)
+            generated = net.generate_from_refs(style, content)
             for image, item in zip(generated, chunk):
                 l1 += l1_metric(image, item.target)
                 rmse += rmse_metric(image, item.target)

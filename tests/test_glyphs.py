@@ -11,7 +11,6 @@ from stylemix.glyphs import (
     Corpus,
     CorpusConfig,
     CorpusError,
-    DatasetPartition,
     GlyphSpec,
     StyleSpec,
     build_eval_sets,
@@ -67,7 +66,8 @@ class TestStyleSpec:
         assert style_spec(1, 0) != style_spec(2, 0)
 
     def test_no_duplicate_parameter_tuples_over_1000_ids(self):
-        tuples = {style_spec(0, i).as_tuple() for i in range(1000)}
+        specs = [style_spec(0, i) for i in range(1000)]
+        tuples = {(s.stroke_thickness, s.slant, s.scale, s.darkness) for s in specs}
         assert len(tuples) == 1000
 
 
@@ -170,14 +170,6 @@ class TestPartition:
         with pytest.raises(CorpusError):
             make_partition(3, 8, 0)
 
-    def test_cell_mapping(self):
-        part = DatasetPartition(known_styles=(0,), novel_styles=(1,),
-                                known_contents=(0,), novel_contents=(1,))
-        assert part.cell(0, 0) == "d1"
-        assert part.cell(0, 1) == "d2"
-        assert part.cell(1, 0) == "d3"
-        assert part.cell(1, 1) == "d4"
-
 
 @pytest.fixture(scope="module")
 def small_corpus():
@@ -254,6 +246,16 @@ class TestEvalSets:
         for item in suites["d4"]:
             assert item.style_id in part.novel_styles
             assert item.content_id in part.novel_contents
+
+    def test_every_cell_draws_its_targets_from_its_own_pools(self, small_corpus):
+        suites = build_eval_sets(small_corpus, r=2, seed=0, per_set=4)
+        part = small_corpus.partition
+        for cell, styles, contents in (("d1", part.known_styles, part.known_contents),
+                                       ("d2", part.known_styles, part.novel_contents),
+                                       ("d3", part.novel_styles, part.known_contents),
+                                       ("d4", part.novel_styles, part.novel_contents)):
+            for item in suites[cell]:
+                assert item.style_id in styles and item.content_id in contents
 
     def test_reference_sets_never_contain_the_target(self, small_corpus):
         suites = build_eval_sets(small_corpus, r=4, seed=1, per_set=6)
