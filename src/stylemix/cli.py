@@ -25,7 +25,7 @@ import numpy as np
 
 from stylemix import glyphs, netpbm
 from stylemix.autodiff import Tensor
-from stylemix.fontnet import FontNet
+from stylemix.fontnet import FontNet, FontNetConfig
 from stylemix.glyphs import CorpusError
 from stylemix.nst import NstConfig, NstNet
 from stylemix.training import (
@@ -121,8 +121,12 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_train(args) -> int:
     corpus = glyphs.load_corpus(args.corpus)
-    config = TrainConfig(steps=args.steps, n_t=args.nt, r=args.r, seed=args.seed)
-    result = train(config, corpus, adam=AdamState(learning_rate=args.lr),
+    config = TrainConfig(steps=args.steps, n_t=args.nt, seed=args.seed)
+    # refused before a net --r references wide is built
+    glyphs.check_training_draw(corpus, config.n_t, args.r, config.batch_size)
+    net = FontNet.initialize(
+        FontNetConfig(image_size=corpus.config.image_size, ref_count=args.r), seed=args.seed)
+    result = train(config, corpus, net, adam=AdamState(learning_rate=args.lr),
                    log_path=str(args.out) + ".log")
     arrays = result.net.state_arrays()
     check_finite(arrays)  # an overflowing last update would save a broken net

@@ -336,7 +336,8 @@ class FontNet(Model):
                 f"{cfg.image_size}, {cfg.image_size}], got {tuple(x.shape)}"
             )
 
-    def _encode(self, prefix: str, x: Tensor, mode: str, keep_skips: bool):
+    def _encode(self, prefix: str, x: Tensor, mode: str):
+        """The code [B, code_dim] and every block's output but the last (the skips)."""
         cfg = self.config
         skips = []
         out = x
@@ -348,7 +349,7 @@ class FontNet(Model):
                               self.params[f"{prefix}.{i}.beta"], mode=mode,
                               running_stats=self.buffers[f"{prefix}.{i}"])
             out = leaky_relu(out)
-            if keep_skips and i < cfg.depth - 1:
+            if i < cfg.depth - 1:
                 skips.append(out)
         code = out.reshape(out.shape[0], cfg.code_dim)
         return code, skips
@@ -357,20 +358,22 @@ class FontNet(Model):
         """Style code [B, code_dim] from channel-concatenated reference images."""
         x = self._input(x)
         self._check_ref_input(x, "style")
-        code, _ = self._encode("style_enc", x, mode, keep_skips=False)
+        code, _ = self._encode("style_enc", x, mode)
         return code
 
     def content_encode(self, x, mode: str = "eval"):
         """Content code [B, code_dim] plus per-block skip feature maps."""
         x = self._input(x)
         self._check_ref_input(x, "content")
-        return self._encode("content_enc", x, mode, keep_skips=True)
+        return self._encode("content_enc", x, mode)
 
     def mix(self, style_code: Tensor, content_code: Tensor) -> Tensor:
         return bilinear_contract(style_code, self.params["mixer.tensor"], content_code)
 
     def decode(self, mixed: Tensor, skips, mode: str = "eval") -> Tensor:
-        """Generate a [B, 1, H, W] image in (0, 1) from the mixed code."""
+        """Generate a [B, 1, H, W] image in (0, 1) from the mixed code and
+        ``content_encode``'s ``depth - 1`` skips; another count, or a skip whose batch
+        or size differs from the map it joins (``concat_channels``), raises ShapeError."""
         cfg = self.config
         sizes = cfg.spatial_sizes
         if len(skips) != cfg.depth - 1:
@@ -380,14 +383,7 @@ class FontNet(Model):
         out = mixed.reshape(mixed.shape[0], cfg.code_dim, 1, 1)
         for j in range(cfg.depth):
             if j >= 1:
-                skip = skips[cfg.depth - 1 - j]
-                want = sizes[cfg.depth - 1 - j]
-                if skip.shape[0] != out.shape[0] or skip.shape[2:] != (want, want):
-                    raise ShapeError(
-                        f"skip {cfg.depth - 1 - j} has shape {tuple(skip.shape)}, "
-                        f"expected spatial {want}x{want}"
-                    )
-                out = concat_channels(out, skip)
+                out = concat_channels(out, skips[cfg.depth - 1 - j])
             kernel = self.params[f"decoder.{j}.kernel"]
             bias = self.params[f"decoder.{j}.bias"]
             if j < cfg.depth - 1:

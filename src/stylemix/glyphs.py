@@ -80,9 +80,8 @@ class DatasetPartition:
 
 @dataclass
 class ReferenceSet:
-    """r images sharing one style (or one content) with the anchor."""
+    """r images sharing one style (or one content) with their triplet's target."""
 
-    anchor_id: int
     counterpart_ids: tuple
     images: list  # of [H, W] float arrays
 
@@ -211,11 +210,6 @@ class Corpus:
     """Lazily rendered style x content image grid plus its partition."""
 
     def __init__(self, config: CorpusConfig):
-        if config.n_styles < 4 or config.n_contents < 4:
-            raise CorpusError(
-                f"corpus needs at least 4 styles and 4 contents, got "
-                f"{config.n_styles} x {config.n_contents}"
-            )
         if config.image_size < 16:
             raise CorpusError(f"corpus image size must be >= 16, got {config.image_size}")
         self.config = config
@@ -239,28 +233,16 @@ class Corpus:
             self._cache[key] = cached
         return cached
 
-    def style_reference_set(self, style_id: int, content_ids) -> ReferenceSet:
-        content_ids = tuple(int(j) for j in content_ids)
-        return ReferenceSet(
-            anchor_id=style_id,
-            counterpart_ids=content_ids,
-            images=[self.image(style_id, j) for j in content_ids],
-        )
-
-    def content_reference_set(self, content_id: int, style_ids) -> ReferenceSet:
-        style_ids = tuple(int(i) for i in style_ids)
-        return ReferenceSet(
-            anchor_id=content_id,
-            counterpart_ids=style_ids,
-            images=[self.image(i, content_id) for i in style_ids],
-        )
-
     def triplet(self, style_id: int, content_id: int, ref_contents, ref_styles) -> Triplet:
         """The item for target (style_id, content_id): its style references
         render ``ref_contents`` in its style, its content references render
         its content in ``ref_styles``."""
-        return Triplet(style_refs=self.style_reference_set(style_id, ref_contents),
-                       content_refs=self.content_reference_set(content_id, ref_styles),
+        ref_contents = tuple(int(j) for j in ref_contents)
+        ref_styles = tuple(int(i) for i in ref_styles)
+        return Triplet(style_refs=ReferenceSet(ref_contents,
+                                               [self.image(style_id, j) for j in ref_contents]),
+                       content_refs=ReferenceSet(ref_styles,
+                                                 [self.image(i, content_id) for i in ref_styles]),
                        target=self.image(style_id, content_id),
                        style_id=style_id, content_id=content_id)
 

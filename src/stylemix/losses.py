@@ -7,7 +7,6 @@ counts as black when its value is strictly below 0.5.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,18 +17,6 @@ BLACK_THRESHOLD = 0.5
 
 class DegenerateTargetWarning(UserWarning):
     """A target image contained no black pixels; a fallback weight was used."""
-
-
-@dataclass(frozen=True)
-class BatchWeights:
-    """Per-target weights: 1/black-pixel-count and softmax darkness weight."""
-
-    size_thickness: np.ndarray  # [B], each > 0
-    darkness: np.ndarray  # [B], sums to 1
-
-    @property
-    def combined(self) -> np.ndarray:
-        return self.size_thickness * self.darkness
 
 
 def binarize(image: np.ndarray) -> np.ndarray:
@@ -77,15 +64,6 @@ def darkness_weight(targets) -> np.ndarray:
     return e / e.sum()
 
 
-def batch_weights(targets: np.ndarray) -> BatchWeights:
-    """Weights for a batch of target images stacked along axis 0."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim < 1 or targets.shape[0] == 0:
-        raise ValueError("batch_weights: empty batch")
-    st = np.array([size_thickness_weight(t) for t in targets])
-    return BatchWeights(size_thickness=st, darkness=darkness_weight(targets))
-
-
 def weighted_l1_loss(generated: Tensor, targets: np.ndarray) -> Tensor:
     """Sum over the batch of W_st * W_d * sum_pixels |generated - target|.
 
@@ -96,12 +74,13 @@ def weighted_l1_loss(generated: Tensor, targets: np.ndarray) -> Tensor:
     """
     generated = as_tensor(generated)
     targets = np.asarray(targets, dtype=np.float64)
-    if generated.shape != targets.shape:
+    if generated.ndim == 0 or generated.shape != targets.shape:
         raise ShapeError(
-            f"weighted_l1_loss: generated {generated.shape} vs targets {targets.shape}"
-        )
+            f"weighted_l1_loss: needs equal [B, ...] batches, got generated {generated.shape} "
+            f"and targets {targets.shape}")
     dtype = generated.data.dtype
-    weights = batch_weights(targets).combined.astype(dtype)
+    size_thickness = np.array([size_thickness_weight(t) for t in targets])
+    weights = (size_thickness * darkness_weight(targets)).astype(dtype)
     per_image = (generated - targets.astype(dtype)).abs().sum(
         axis=tuple(range(1, generated.ndim)))
     return (per_image * weights).sum()

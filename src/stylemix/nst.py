@@ -185,7 +185,7 @@ def tv_loss(image: Tensor) -> Tensor:
 
 def total_loss(content: Tensor, style: Tensor, tv: Tensor) -> Tensor:
     """The content, style and smoothness terms weighted 1 : 5 : 1e-5."""
-    return as_tensor(content) * 1.0 + as_tensor(style) * 5.0 + as_tensor(tv) * 1e-5
+    return as_tensor(content) + as_tensor(style) * 5.0 + as_tensor(tv) * 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +456,23 @@ class NstNet(Model):
         relu) is a stage, and ``decoder.out`` ends the last one, or is the
         only one when the plan has no stride-2 block. Without a tape each
         stage runs in row bands of its output (``_in_bands``), so none of its
-        maps is held whole.
+        maps is held whole. ``sizes`` are ``content_encode``'s: each (h, w)
+        halves, rounded up, to the next and the last to ``f``'s; others raise
+        ShapeError.
         """
         cfg = self.config
-        out = f
-        for i in range(cfg.n_content_res):
-            out = self._res_block(f"decoder.res{i}", out, 0.0)
         n_up = sum(1 for _, stride, _ in cfg.conv_plan if stride > 1)
         if len(sizes) != n_up:
             raise ShapeError(f"decode expects {n_up} recorded sizes, got {len(sizes)}")
+        size = tuple(f.shape[2:])
+        for h, w in reversed(sizes):
+            if ((h - 1) // 2 + 1, (w - 1) // 2 + 1) != size:
+                raise ShapeError(
+                    f"decode: sizes {list(sizes)} do not halve to the features' {size}")
+            size = (h, w)
+        out = f
+        for i in range(cfg.n_content_res):
+            out = self._res_block(f"decoder.res{i}", out, 0.0)
         h, w = out.shape[2:]
         stages = [] if sizes else [([], h, max(out.shape[1], IMAGE_CHANNELS) * w)]
         for i, (h, w) in enumerate(reversed(sizes)):

@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from stylemix.autodiff import Graph, Tensor
-from stylemix.fontnet import CheckpointError, FontNet, FontNetConfig, check_finite, stack_triplets
+from stylemix.fontnet import CheckpointError, FontNet, check_finite, stack_triplets
 from stylemix.glyphs import Corpus, check_training_draw, sample_training_batch
 from stylemix.losses import l1_metric, pdar_metric, rmse_metric, weighted_l1_loss
 from stylemix.nst import FeatureExtractor, NstNet, nst_objective
@@ -284,7 +284,6 @@ class TrainConfig:
     batch_size: ClassVar[int] = 4
     steps: int = 2000
     n_t: int = 20000
-    r: int = 4
     seed: int = 0
     start_step: int = 0
 
@@ -308,37 +307,27 @@ class SuiteMetrics:
     pdar: float
 
 
-def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
+def train(config: TrainConfig, corpus: Corpus, net: FontNet,
           adam: AdamState | None = None, log_path=None) -> TrainResult:
-    """Optimize the weighted L1 objective over d1 triplets by Adam at
+    """Optimize ``net`` on the weighted L1 objective over d1 triplets of
+    ``net.config.ref_count`` references per set, by Adam at
     ``adam.learning_rate``, clipping the global gradient norm at ``CLIP_NORM``.
-    Without ``net``, it trains a fresh ``FontNetConfig(image_size, ref_count=r)``
-    net seeded with ``config.seed``; without ``adam``, it steps a fresh
-    ``AdamState()``, at rate 2e-4.
+    Without ``adam``, it steps a fresh ``AdamState()``, at rate 2e-4.
 
-    Deterministic for a fixed config and corpus in single-threaded execution.
-    Writes "step,loss,wall_ms" lines to ``log_path`` when given: a run that
-    starts at step 0 replaces the file, one that continues from a later
-    ``start_step`` appends to it. Aborts with a diagnostic on a non-finite
-    loss, leaving the net (its batch-norm running statistics included) and
-    Adam as the last good step left them. Before the log is opened or any
-    update, raises TrainingError when the net's r or image size differs from
-    the run's, CorpusError when the corpus cannot supply its batches, and
-    ValueError when Adam's learning rate is not finite in the parameters'
-    dtype. To evaluate mid-run, call ``evaluate`` between runs that pass
-    ``start_step``, ``net`` and ``adam`` on.
+    Deterministic for a fixed config, corpus and net in single-threaded
+    execution. Writes "step,loss,wall_ms" lines to ``log_path`` when given: a
+    run that starts at step 0 replaces the file, one that continues from a
+    later ``start_step`` appends to it. Aborts with a diagnostic on a
+    non-finite loss, leaving the net (its batch-norm running statistics
+    included) and Adam as the last good step left them. Before the log is
+    opened or any update, raises CorpusError when the corpus cannot supply the
+    net's batches, TrainingError when the net's image size differs from the
+    corpus's, and ValueError when Adam's learning rate is not finite in the
+    parameters' dtype. To evaluate mid-run, call ``evaluate`` between runs
+    that pass ``start_step``, ``net`` and ``adam`` on.
     """
-    check_training_draw(corpus, config.n_t, config.r, config.batch_size)
-    if net is None:
-        net = FontNet.initialize(
-            FontNetConfig(image_size=corpus.config.image_size, ref_count=config.r),
-            seed=config.seed,
-        )
-    if net.config.ref_count != config.r:
-        raise TrainingError(
-            f"model expects r={net.config.ref_count} but the run is configured "
-            f"with r={config.r}"
-        )
+    r = net.config.ref_count
+    check_training_draw(corpus, config.n_t, r, config.batch_size)
     if net.config.image_size != corpus.config.image_size:
         raise TrainingError(
             f"model expects {net.config.image_size}px images but the corpus holds "
@@ -354,7 +343,7 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet | None = None,
         for step in range(config.start_step, config.start_step + config.steps):
             t0 = time.perf_counter()
             triplets = sample_training_batch(
-                corpus, config.n_t, config.r, config.batch_size, config.seed, step
+                corpus, config.n_t, r, config.batch_size, config.seed, step
             )
             style_x, content_x, targets = stack_triplets(triplets)
             # train-mode batch-norm rebinds these in the forward, before the loss is checked

@@ -14,7 +14,7 @@ import stylemix
 from stylemix import glyphs, netpbm
 from stylemix.autodiff import Tensor
 from stylemix.cli import main
-from stylemix.fontnet import FontNet, config_record
+from stylemix.fontnet import FontNet, FontNetConfig, config_record
 from stylemix.nst import NstConfig, NstNet
 from stylemix.training import AdamState, TrainConfig, load_checkpoint, save_checkpoint, train
 
@@ -124,6 +124,19 @@ class TestTrainCommand:
         assert rc == 3
         assert "exceeds" in capsys.readouterr().err
 
+    def test_huge_r_is_refused_before_a_net_is_built(self, corpus_dir, tmp_path, monkeypatch,
+                                                     capsys):
+        """--r 10**12 is refused, naming the reference count, before a net of that
+        many input channels is built or the log is opened."""
+        def no_net(*args, **kwargs):
+            raise AssertionError("train built a net")
+
+        monkeypatch.setattr(FontNet, "initialize", no_net)
+        assert run("train", "--corpus", str(corpus_dir), "--r", str(10 ** 12), "--steps", "1",
+                   "--out", str(tmp_path / "x.ckpt")) == 3
+        assert "reference count" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_nan_learning_rate_exits_with_data_error_and_writes_nothing(self, corpus_dir,
                                                                         tmp_path, capsys):
         out = tmp_path / "nan.ckpt"
@@ -183,7 +196,8 @@ class TestTrainCommand:
                        "--steps", "3", "--lr", lr, "--out", str(tmp_path / f"{lr}.ckpt")) == 0
             lines = (tmp_path / f"{lr}.ckpt.log").read_text().splitlines()
             logged[lr] = [line.split(",")[1] for line in lines]
-        result = train(TrainConfig(steps=3, n_t=20, r=2), glyphs.load_corpus(corpus),
+        net = FontNet.initialize(FontNetConfig(image_size=16, ref_count=2))
+        result = train(TrainConfig(steps=3, n_t=20), glyphs.load_corpus(corpus), net,
                        adam=AdamState(learning_rate=1e-2))
         save_checkpoint(tmp_path / "in_process.ckpt", result.net.state_arrays())
         assert (tmp_path / "in_process.ckpt").read_bytes() == (tmp_path / "1e-2.ckpt").read_bytes()

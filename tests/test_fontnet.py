@@ -147,6 +147,20 @@ class TestDecode:
         with pytest.raises(ShapeError, match="skip"):
             micro_net.decode(micro_net.mix(style, content), skips[:-1])
 
+    @pytest.mark.parametrize("index", [0, -1])
+    @pytest.mark.parametrize("change", ["batch", "size"])
+    def test_rejects_a_skip_of_another_batch_or_size(self, micro_net, index, change):
+        """A skip whose batch or spatial size differs from the decoder map it
+        joins is refused where the two are concatenated."""
+        rng = np.random.default_rng(8)
+        style = micro_net.style_encode(_refs(rng))
+        content, skips = micro_net.content_encode(_refs(rng))
+        skip = skips[index].data
+        skips[index] = Tensor(np.concatenate([skip, skip]) if change == "batch"
+                              else np.pad(skip, ((0, 0), (0, 0), (0, 2), (0, 2))))
+        with pytest.raises(ShapeError, match="concat_channels"):
+            micro_net.decode(micro_net.mix(style, content), skips)
+
 
 class TestForwardGenerate:
     def test_deterministic(self, micro_net):

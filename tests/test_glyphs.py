@@ -182,8 +182,8 @@ class TestTrainingSampler:
         for triplet in batch:
             assert len(triplet.style_refs.images) == 1
             assert len(triplet.content_refs.images) == 1
-            assert triplet.style_refs.anchor_id == triplet.style_id
-            assert triplet.content_refs.anchor_id == triplet.content_id
+            assert len(triplet.style_refs.counterpart_ids) == 1
+            assert len(triplet.content_refs.counterpart_ids) == 1
 
     def test_targets_come_from_known_known(self, small_corpus):
         part = small_corpus.partition
@@ -289,7 +289,8 @@ class TestReferenceProvenance:
                 assert small_corpus.image(i, j) is image  # cached, not re-rendered
 
     def test_style_set_re_renders_from_the_same_style(self, small_corpus):
-        ref = small_corpus.style_reference_set(2, (0, 3, 5))
+        ref = small_corpus.triplet(2, 1, (0, 3, 5), (4, 6, 7)).style_refs
+        assert ref.counterpart_ids == (0, 3, 5)
         spec = small_corpus.styles[2]
         for image, j in zip(ref.images, ref.counterpart_ids):
             again = render_glyph(spec, small_corpus.glyphs[j], 32).astype(np.float32)

@@ -1,5 +1,7 @@
 """Objective weights, the weighted L1 loss, and the three evaluation metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,7 @@ from gradcheck import check_gradients
 
 from stylemix.autodiff import ShapeError, Tensor
 from stylemix.losses import (
-    BatchWeights,
     DegenerateTargetWarning,
-    batch_weights,
     binarize,
     darkness_weight,
     l1_metric,
@@ -122,9 +122,27 @@ class TestWeightedL1Loss:
             other[0, 0, 0, 0] += 0.01
             assert weighted_l1_loss(Tensor(other), target).item() > 0.0
 
+    def test_two_target_hand_case_with_a_blank_target(self):
+        """The loss is sum_b W_st * W_d * |g - t|_1. Target 0 has two black pixels
+        (W_st 1/2, black mean 0.3); the blank target 1 falls back to W_st 1/4 and a
+        black mean of 0, and warns once."""
+        targets = np.array([[[[0.2, 1.0], [0.4, 1.0]]], [[[1.0, 1.0], [1.0, 1.0]]]])
+        generated = np.array([[[[0.5, 0.9], [0.4, 1.0]]], [[[0.5, 1.0], [1.0, 1.0]]]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loss = weighted_l1_loss(Tensor(generated), targets).item()
+        assert [w.category for w in caught] == [DegenerateTargetWarning]
+        darkness = np.exp([0.3, 0.0]) / np.exp([0.3, 0.0]).sum()
+        want = 0.5 * darkness[0] * (0.3 + 0.1) + 0.25 * darkness[1] * 0.5
+        assert np.isclose(loss, want, rtol=1e-12, atol=0.0)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
             weighted_l1_loss(Tensor(np.zeros((1, 1, 2, 2))), np.zeros((1, 1, 3, 3)))
+
+    def test_rejects_a_rank_0_pair(self):
+        with pytest.raises(ShapeError, match="batches"):
+            weighted_l1_loss(Tensor(np.array(0.5)), np.array(0.2))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_matches_finite_differences(self, seed):
@@ -206,14 +224,3 @@ class TestMetrics:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
             l1_metric(np.zeros((2, 2)), np.zeros((3, 3)))
-
-
-class TestBatchWeights:
-    def test_invariants(self):
-        rng = np.random.default_rng(6)
-        targets = rng.uniform(0.0, 0.6, size=(4, 1, 5, 5))
-        weights = batch_weights(targets)
-        assert isinstance(weights, BatchWeights)
-        assert (weights.size_thickness > 0).all()
-        assert abs(weights.darkness.sum() - 1.0) <= 1e-12
-        assert weights.combined.shape == (4,)

@@ -419,6 +419,21 @@ class TestNstNet:
         monkeypatch.setattr("stylemix.nst._crop", lambda x, h, w: x[:, :, :h, :w])
         assert np.array_equal(got, nst_net.forward(style, content).data)
 
+    @pytest.mark.parametrize("band_elements", [1, 1 << 40])
+    @pytest.mark.parametrize("other", [(66, 64), (64, 66), (60, 64), (66, 66)])
+    def test_decode_refuses_the_sizes_of_another_image(self, nst_net, monkeypatch,
+                                                        band_elements, other):
+        """Features of a 64 px image with the sizes of an image whose x2 chain ends
+        elsewhere (66 -> 33 -> 17, not 16): refused, at 1-row and whole-map bands,
+        instead of an image with rows no band wrote."""
+        monkeypatch.setattr(nst_mod, "BAND_ELEMENTS", band_elements)
+        rng = np.random.default_rng(13)
+        f, sizes = nst_net.content_encode(rng.uniform(size=(1, 3, 64, 64)).astype(np.float32))
+        _, wrong = nst_net.content_encode(rng.uniform(size=(1, 3) + other).astype(np.float32))
+        assert nst_net.decode(f, sizes).shape == (1, 3, 64, 64)
+        with pytest.raises(ShapeError, match="sizes"):
+            nst_net.decode(f, wrong)
+
     def test_deterministic(self, nst_net):
         rng = np.random.default_rng(11)
         style = Tensor(rng.uniform(size=(1, 3, 24, 24)))

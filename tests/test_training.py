@@ -38,7 +38,7 @@ from stylemix.fontnet import stack_triplets
 from stylemix.autodiff import Graph
 
 
-MICRO_TRAIN = dict(r=2, n_t=20)
+MICRO_TRAIN = dict(n_t=20)
 
 
 def micro_net(seed=0, ref_count=2, image_size=16):
@@ -427,7 +427,7 @@ class TestTrain:
         # a pool of one triplet (n_t=1): every batch holds only it
         decreased = 0
         for seed in range(20):
-            config = TrainConfig(steps=1, n_t=1, r=2, seed=seed)
+            config = TrainConfig(steps=1, n_t=1, seed=seed)
             net = micro_net(seed)
 
             def triplet_loss():
@@ -465,14 +465,6 @@ class TestTrain:
 
         assert resume_loss() == resume_loss()
 
-    def test_without_a_net_trains_the_default_config_at_the_run_size_and_r(self, corpus):
-        config = TrainConfig(steps=0, seed=6, **MICRO_TRAIN)
-        net = train(config, corpus).net
-        want = FontNet.initialize(FontNetConfig(image_size=16, ref_count=2), seed=6)
-        assert net.config == want.config
-        for (name, a), b in zip(net.state_arrays().items(), want.state_arrays().values()):
-            assert a.tobytes() == b.tobytes(), name
-
     @pytest.mark.parametrize("name, value", [
         ("steps", -1),
         ("learning_rate", float("nan")),
@@ -505,7 +497,8 @@ class TestTrain:
         config = TrainConfig(steps=1, **MICRO_TRAIN)
         log_path = tmp_path / "run.log"
         with pytest.raises(ValueError, match="learning_rate"):
-            train(config, corpus, adam=AdamState(learning_rate=1e300), log_path=log_path)
+            train(config, corpus, micro_net(), adam=AdamState(learning_rate=1e300),
+                  log_path=log_path)
         assert not log_path.exists()
 
     def test_trains_in_float32(self, corpus, monkeypatch):
@@ -570,26 +563,21 @@ class TestTrain:
             for now, (then, raw) in zip((stats.mean, stats.std), running[name]):
                 assert now is then and now.tobytes() == raw, name
 
-    def test_mismatched_ref_count_rejected(self, corpus):
-        net = micro_net(ref_count=3)
-        with pytest.raises(TrainingError, match="r="):
-            train(TrainConfig(steps=1, r=2), corpus, net=net)
-
     def test_mismatched_image_size_rejected_before_the_log_opens(self, corpus, tmp_path):
         net = micro_net(image_size=32)
         log = tmp_path / "mis.log"
         with pytest.raises(TrainingError, match="32px"):
-            train(TrainConfig(steps=1, r=2), corpus, net=net, log_path=log)
+            train(TrainConfig(steps=1), corpus, net=net, log_path=log)
         assert not log.exists()
 
-    @pytest.mark.parametrize("change", [{"r": 9}, {"n_t": 0}, {"r": 10 ** 12}])
+    @pytest.mark.parametrize("change", [{"ref_count": 9}, {"n_t": 0}])
     def test_corpus_refusal_comes_before_the_log_opens(self, corpus, tmp_path, change):
-        """r beyond the 6 known ids, or an empty pool, leaves no empty log behind;
-        a huge r is refused before a net of that many input channels is built."""
-        config = TrainConfig(steps=1, **{**MICRO_TRAIN, **change})
+        """A net's r beyond the 6 known ids, or an empty pool, leaves no empty log
+        behind."""
+        config = TrainConfig(steps=1, n_t=change.get("n_t", 20))
         log = tmp_path / "refused.log"
         with pytest.raises(CorpusError):
-            train(config, corpus, log_path=log)
+            train(config, corpus, micro_net(ref_count=change.get("ref_count", 2)), log_path=log)
         assert not log.exists()
 
     def test_split_run_with_an_evaluation_between_equals_one_run(self, corpus):
