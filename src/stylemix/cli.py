@@ -56,6 +56,16 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _unit_fraction(text: str) -> float:
+    """An argparse type: a number in [0, 1], else a usage error."""
+    if not 0.0 <= float(text) <= 1.0:  # NaN lies in no interval
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return float(text)
+
+
+_unit_fraction.__name__ = "float"
+
+
 def build_parser() -> argparse.ArgumentParser:
     seed = _int_at_least(0)
     parser = argparse.ArgumentParser(
@@ -96,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     nstp.add_argument("--style", required=True, metavar="PGM/PPM")
     nstp.add_argument("--content", required=True, metavar="PGM/PPM")
     nstp.add_argument("--ckpt", required=True)
-    nstp.add_argument("--alpha", type=float, required=True,
+    nstp.add_argument("--alpha", type=_unit_fraction, required=True,
                       help="style strength (trade-off) or interpolation weight, in [0, 1]")
     nstp.add_argument("--interp-style2", metavar="PGM/PPM",
                       help="interpolate between --style and this second style")
@@ -128,7 +138,7 @@ def _cmd_train(args) -> int:
         FontNetConfig(image_size=corpus.config.image_size, ref_count=args.r), seed=args.seed)
     result = train(config, corpus, net, adam=AdamState(learning_rate=args.lr),
                    log_path=str(args.out) + ".log")
-    arrays = result.net.state_arrays()
+    arrays = net.state_arrays()
     check_finite(arrays)  # an overflowing last update would save a broken net
     save_checkpoint(args.out, arrays)
     final = result.losses[-1] if result.losses else float("nan")
@@ -193,9 +203,7 @@ def _load_nst_image(path) -> np.ndarray:
     return image
 
 
-def _cmd_nst(args, parser) -> int:
-    if not 0.0 <= args.alpha <= 1.0:
-        parser.error(f"--alpha must lie in [0, 1], got {args.alpha}")
+def _cmd_nst(args) -> int:
     net = NstNet.from_state(load_checkpoint(args.ckpt))
     style = Tensor(_load_nst_image(args.style)[None])
     content = Tensor(_load_nst_image(args.content)[None])
@@ -220,8 +228,7 @@ def _cmd_nst_init(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     commands = {"corpus": _cmd_corpus, "train": _cmd_train, "generate": _cmd_generate,
-                "eval": _cmd_eval, "nst": lambda args: _cmd_nst(args, parser),
-                "nst-init": _cmd_nst_init}
+                "eval": _cmd_eval, "nst": _cmd_nst, "nst-init": _cmd_nst_init}
     try:
         args = parser.parse_args(argv)
         return commands[args.command](args)

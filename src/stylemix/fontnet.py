@@ -41,13 +41,6 @@ from stylemix.autodiff import (
 INIT_STD = 0.02  # every FontNet kernel and the mixer tensor are drawn from N(0, INIT_STD)
 
 
-def _spatial_chain(size: int) -> tuple:
-    sizes = [size]
-    while sizes[-1] > 1:
-        sizes.append((sizes[-1] - 1) // 2 + 1)  # conv k3 s2 p1 halves, ceil mode
-    return tuple(sizes)
-
-
 @dataclass(frozen=True)
 class FontNetConfig:
     """The glyph size, the first encoder block's width and the references per
@@ -72,7 +65,10 @@ class FontNetConfig:
     @property
     def spatial_sizes(self) -> tuple:
         """Per-encoder-layer output sizes: image_size, halvings, ..., 1."""
-        return _spatial_chain(self.image_size)
+        sizes = [self.image_size]
+        while sizes[-1] > 1:
+            sizes.append((sizes[-1] - 1) // 2 + 1)  # conv k3 s2 p1 halves, ceil mode
+        return tuple(sizes)
 
     @property
     def depth(self) -> int:

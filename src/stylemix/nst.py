@@ -115,21 +115,15 @@ def _blend_stats(stats1: ChannelStats, stats2: ChannelStats, alpha: float) -> Ch
     return ChannelStats(mean=blend(stats1.mean, stats2.mean), std=blend(stats1.std, stats2.std))
 
 
-# kept by name: perfbench/tracer.py wraps it, and the benchmark's smoke test fails without it
-def tradeoff_mix(f_con: Tensor, con_stats: ChannelStats, sty_stats: ChannelStats,
-                 alpha: float) -> Tensor:
-    """Statistic match against a (1-alpha) content / alpha style stat blend.
-
-    alpha 0 reproduces the content image's own style, alpha 1 is the fully
-    stylized match.
-    """
-    return style_interpolate(f_con, con_stats, sty_stats, alpha)
-
-
 def style_interpolate(f_con: Tensor, stats1: ChannelStats, stats2: ChannelStats,
                       alpha: float) -> Tensor:
-    """Statistic match against an interpolation between two style stats."""
+    """Statistic match against a (1-alpha) stats1 / alpha stats2 blend; with the
+    content's own stats as stats1, alpha 0 keeps its style and 1 fully stylizes."""
     return statistic_match(f_con, _blend_stats(stats1, stats2, alpha))
+
+
+# kept by name: perfbench/tracer.py wraps it, and the benchmark's smoke test fails without it
+tradeoff_mix = style_interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +222,15 @@ class NstConfig:
         return self.conv_plan[-1][2]
 
     @property
-    def downsample_factor(self) -> int:
-        factor = 1
-        for _, stride, _ in self.conv_plan:
-            factor *= stride
-        return factor
+    def n_strided(self) -> int:
+        """The stride-2 blocks: the encoders' halvings and the decoder's up blocks."""
+        return sum(1 for _, stride, _ in self.conv_plan if stride > 1)
 
 
-def _crop(x: Tensor, h: int, w: int) -> Tensor:
-    """``x[:, :, :h, :w]``, taping no crop when ``x`` is already ``h`` x ``w``."""
-    return x if x.shape[2:] == (h, w) else x[:, :, :h, :w]
-
-
-def _rows(x: Tensor, r0: int, r1: int) -> Tensor:
-    """``x[:, :, r0:r1]``, taping no slice when that is all of ``x``."""
-    return x if (r0, r1) == (0, x.shape[2]) else x[:, :, r0:r1]
+def _rows(x: Tensor, r0: int, r1: int, w: int | None = None) -> Tensor:
+    """``x[:, :, r0:r1, :w]``, taping no slice when that is all of ``x``."""
+    whole = (r0, r1) == (0, x.shape[2]) and w in (None, x.shape[3])
+    return x if whole else x[:, :, r0:r1, :w]
 
 
 def _band(steps, x: Tensor, r0: int, r1: int) -> Tensor:
@@ -292,8 +280,7 @@ def _upsample_step(w: int):
 
     def run(slab, r0, r1):
         # the slab starts at row r0 // 2, so its upsampling at row r0 - r0 % 2
-        up = upsample_nearest(slab, 2)
-        return _crop(_rows(up, r0 % 2, up.shape[2]), r1 - r0, w)
+        return _rows(upsample_nearest(slab, 2), r0 % 2, r0 % 2 + r1 - r0, w)
 
     return window, run
 
@@ -354,12 +341,11 @@ class NstNet(Model):
 
     def _check_image(self, x, role: str) -> Tensor:
         x = self._input(x)
-        cfg = self.config
         if x.ndim != 4 or x.shape[1] != IMAGE_CHANNELS:
             raise ShapeError(
                 f"{role} image must be [B, {IMAGE_CHANNELS}, H, W], got {tuple(x.shape)}"
             )
-        factor = cfg.downsample_factor
+        factor = 2 ** self.config.n_strided
         if x.shape[2] < factor or x.shape[3] < factor:
             raise ShapeError(
                 f"{role} image {tuple(x.shape)} smaller than the encoder's "
@@ -372,12 +358,9 @@ class NstNet(Model):
         return conv2d(x, k, self.params[f"{name}.bias"], stride=stride,
                       padding=(k.shape[2] - 1) // 2)
 
-    def _conv_block(self, name: str, x: Tensor, stride: int, slope: float = 0.2) -> Tensor:
-        return leaky_relu(self._conv(name, x, stride), slope)
-
     def _res_block(self, name: str, x: Tensor, slope: float = 0.2) -> Tensor:
-        out = self._conv_block(f"{name}.conv0", x, 1, slope)
-        out = self._conv_block(f"{name}.conv1", out, 1, slope)
+        out = leaky_relu(self._conv(f"{name}.conv0", x), slope)
+        out = leaky_relu(self._conv(f"{name}.conv1", out), slope)
         return x + out
 
     def _conv_step(self, name: str, n_in: int, stride: int = 1, act=None):
@@ -461,9 +444,8 @@ class NstNet(Model):
         ShapeError.
         """
         cfg = self.config
-        n_up = sum(1 for _, stride, _ in cfg.conv_plan if stride > 1)
-        if len(sizes) != n_up:
-            raise ShapeError(f"decode expects {n_up} recorded sizes, got {len(sizes)}")
+        if len(sizes) != cfg.n_strided:
+            raise ShapeError(f"decode expects {cfg.n_strided} recorded sizes, got {len(sizes)}")
         size = tuple(f.shape[2:])
         for h, w in reversed(sizes):
             if ((h - 1) // 2 + 1, (w - 1) // 2 + 1) != size:

@@ -16,7 +16,6 @@ them as a byte record, so every model round-trips through one bit for bit.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import time
@@ -94,17 +93,6 @@ def save_checkpoint(path, arrays: dict) -> None:
         raise
 
 
-def _check_rate(learning_rate: float, dtype) -> None:
-    """Raise ValueError unless ``learning_rate`` is finite once cast to ``dtype``,
-    the parameters' dtype that Adam computes in: 1e300 is finite in float64 but
-    inf in float32, and would turn every updated weight into NaN."""
-    with np.errstate(over="ignore"):  # the overflow is what is reported
-        rate = np.asarray(learning_rate).astype(dtype)
-    if not np.isfinite(rate):
-        raise ValueError(f"learning_rate {learning_rate} is non-finite in {np.dtype(dtype)}, "
-                         f"the parameters' dtype")
-
-
 def load_checkpoint(path) -> dict:
     """Read a checkpoint back into float32 arrays, validating the layout.
 
@@ -155,8 +143,9 @@ def load_checkpoint(path) -> dict:
 class AdamState:
     """The learning rate, the step count and the first/second moment buffers.
 
-    The rate must be finite and > 0. ``adam_step`` creates each moment buffer
-    C-contiguous with its parameter's shape and updates it in place.
+    The rate must be > 0 and finite in float32, every model's dtype (1e300
+    would turn every updated weight into NaN). ``adam_step`` creates each
+    moment buffer C-contiguous with its parameter's shape, updated in place.
     """
 
     learning_rate: float = 2e-4
@@ -165,8 +154,11 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.learning_rate > 0 or not math.isfinite(self.learning_rate):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        with np.errstate(over="ignore"):  # the overflow is what is reported
+            rate = np.asarray(self.learning_rate).astype(np.float32)
+        if not self.learning_rate > 0 or not np.isfinite(rate):
+            raise ValueError(f"learning_rate {self.learning_rate} is not > 0, "
+                             f"or is non-finite in float32, the models' dtype")
 
 
 def adam_step(params, state: AdamState) -> None:
@@ -296,7 +288,6 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    net: FontNet
     losses: list
 
 
@@ -321,10 +312,10 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet,
     non-finite loss, leaving the net (its batch-norm running statistics
     included) and Adam as the last good step left them. Before the log is
     opened or any update, raises CorpusError when the corpus cannot supply the
-    net's batches, TrainingError when the net's image size differs from the
-    corpus's, and ValueError when Adam's learning rate is not finite in the
-    parameters' dtype. To evaluate mid-run, call ``evaluate`` between runs
-    that pass ``start_step``, ``net`` and ``adam`` on.
+    net's batches and TrainingError when the net's image size differs from the
+    corpus's. The net is trained in place; the result holds the per-step
+    losses. To evaluate mid-run, call ``evaluate`` between runs that pass
+    ``start_step``, ``net`` and ``adam`` on.
     """
     r = net.config.ref_count
     check_training_draw(corpus, config.n_t, r, config.batch_size)
@@ -335,7 +326,6 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet,
         )
     if adam is None:
         adam = AdamState()
-    _check_rate(adam.learning_rate, net.dtype)
     mode = "a" if config.start_step else "w"  # a continued run extends its log
     log_file = open(log_path, mode, encoding="ascii") if log_path else None
     losses: list = []
@@ -367,7 +357,7 @@ def train(config: TrainConfig, corpus: Corpus, net: FontNet,
     finally:
         if log_file:
             log_file.close()
-    return TrainResult(net=net, losses=losses)
+    return TrainResult(losses=losses)
 
 
 def evaluate(net: FontNet, suites: dict) -> dict:

@@ -182,6 +182,25 @@ class TestDeconv2d:
                         Tensor(np.zeros(1)), stride=2, output_padding=2)
 
 
+class TestConvRefusals:
+    @pytest.mark.parametrize("op, shapes, kwargs, error, names", [
+        (ad.conv2d, ((1, 4, 4), (1, 1, 3, 3), (1,)), {}, ShapeError, "rank-4"),
+        (ad.conv2d, ((1, 1, 4, 4), (1, 1, 3, 3), (2,)), {}, ShapeError, "bias"),
+        (ad.conv2d, ((1, 1, 4, 4), (1, 1, 3, 3), (1,)), dict(padding=-1), ValueError, "padding"),
+        (ad.deconv2d, ((1, 2, 2), (1, 1, 3, 3), (1,)), {}, ShapeError, "rank-4"),
+        (ad.deconv2d, ((1, 1, 2, 2), (1, 1, 3, 3), (1,)), dict(stride=0), ValueError, "stride"),
+        (ad.deconv2d, ((1, 2, 2, 2), (3, 1, 3, 3), (1,)), {}, ShapeError, "channels"),
+        (ad.deconv2d, ((1, 1, 2, 2), (1, 1, 3, 3), (2,)), {}, ShapeError, "bias"),
+        (ad.deconv2d, ((1, 1, 1, 1), (1, 1, 1, 1), (1,)), dict(padding=1), ShapeError,
+         "output extent"),
+    ])
+    def test_refusal_names_the_op(self, op, shapes, kwargs, error, names):
+        """Each bad input raises its error type; the message starts with the op's
+        name (a conv2d message is not deconv2d's) and names what is wrong."""
+        with pytest.raises(error, match=f"^{op.__name__}.*{names}"):
+            op(*(Tensor(np.zeros(shape)) for shape in shapes), **kwargs)
+
+
 class TestConvKernels:
     """The unrolled kernel pair and the batch folded into its GEMM."""
 

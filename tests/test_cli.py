@@ -199,7 +199,7 @@ class TestTrainCommand:
         net = FontNet.initialize(FontNetConfig(image_size=16, ref_count=2))
         result = train(TrainConfig(steps=3, n_t=20), glyphs.load_corpus(corpus), net,
                        adam=AdamState(learning_rate=1e-2))
-        save_checkpoint(tmp_path / "in_process.ckpt", result.net.state_arrays())
+        save_checkpoint(tmp_path / "in_process.ckpt", net.state_arrays())
         assert (tmp_path / "in_process.ckpt").read_bytes() == (tmp_path / "1e-2.ckpt").read_bytes()
         assert logged["1e-2"] == [f"{loss:.10g}" for loss in result.losses]
         assert logged["1e-2"][1:] != logged["2e-4"][1:]
@@ -345,12 +345,16 @@ class TestNstCommand:
         assert run(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_invalid_alpha_is_a_usage_error(self, corpus_dir, nst_ckpt, tmp_path):
-        rc = run("nst", "--style", str(corpus_dir / "style0000_content0000.pgm"),
-                 "--content", str(corpus_dir / "style0001_content0001.pgm"),
-                 "--ckpt", str(nst_ckpt), "--alpha", "1.5",
-                 "--out", str(tmp_path / "x.ppm"))
-        assert rc == 2
+    def test_invalid_alpha_is_a_usage_error(self, corpus_dir, nst_ckpt, tmp_path, capsys):
+        """Outside [0, 1], NaN or not a number: refused by the parser, naming the flag."""
+        for alpha in ("1.5", "-0.1", "nan", "abc"):
+            rc = run("nst", "--style", str(corpus_dir / "style0000_content0000.pgm"),
+                     "--content", str(corpus_dir / "style0001_content0001.pgm"),
+                     "--ckpt", str(nst_ckpt), "--alpha", alpha,
+                     "--out", str(tmp_path / "x.ppm"))
+            assert rc == 2, alpha
+            assert "--alpha" in capsys.readouterr().err, alpha
+            assert not (tmp_path / "x.ppm").exists()
 
     def test_font_checkpoint_is_a_data_error(self, corpus_dir, font_ckpt, tmp_path):
         rc = run("nst", "--style", str(corpus_dir / "style0000_content0000.pgm"),

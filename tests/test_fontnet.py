@@ -177,10 +177,12 @@ class TestForwardGenerate:
         b = micro_net.forward_generate(cx, sx)
         assert not np.allclose(a.data, b.data)
 
-    def test_batched_forward(self, micro_net):
+    def test_batched_forward(self):
+        """On a net of its own: a train-mode forward moves the running statistics
+        that the module's shared net must keep for the tests after this one."""
+        net = FontNet.initialize(FontNetConfig(image_size=16, base_channels=4, ref_count=2))
         rng = np.random.default_rng(10)
-        out = micro_net.forward_generate(_refs(rng, batch=3), _refs(rng, batch=3),
-                                         mode="train")
+        out = net.forward_generate(_refs(rng, batch=3), _refs(rng, batch=3), mode="train")
         assert out.shape == (3, 1, 16, 16)
 
     def test_80px_forward(self):

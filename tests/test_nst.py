@@ -18,6 +18,7 @@ from stylemix.autodiff import (
     ShapeError,
     Tensor,
     conv2d,
+    leaky_relu,
     relu,
     upsample_nearest,
 )
@@ -162,6 +163,9 @@ class TestTradeoffMix:
         want_std = (1 - alpha) * ends[0].std.data + alpha * ends[1].std.data
         assert np.abs(mid.mean.data - want_mean).max() <= 1e-9
         assert np.abs(mid.std.data - want_std).max() <= 1e-9
+
+    def test_is_style_interpolate_under_its_own_name(self):
+        assert tradeoff_mix is style_interpolate
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.1, 2.0])
     def test_rejects_alpha_outside_unit_interval(self, alpha):
@@ -316,7 +320,7 @@ def _reference_encode(net, prefix, x, n_res):
     for i, (_, stride, _) in enumerate(net.config.conv_plan):
         if stride > 1:
             sizes.append((x.shape[2], x.shape[3]))
-        x = net._conv_block(f"{prefix}.conv{i}", x, stride)
+        x = leaky_relu(net._conv(f"{prefix}.conv{i}", x, stride))
     for i in range(n_res):
         x = net._res_block(f"{prefix}.res{i}", x)
     return x, sizes
@@ -411,12 +415,12 @@ class TestNstNet:
 
     @pytest.mark.parametrize("px", [64, 65])
     def test_decode_equals_the_always_cropping_decoder(self, nst_net, monkeypatch, px):
-        """Bitwise the output of a decoder that crops every upsampled map."""
+        """Bitwise the output of a net that slices every map it crops or bands."""
         rng = np.random.default_rng(px)
         style = Tensor(rng.uniform(size=(1, 3, px, px)).astype(np.float32))
         content = Tensor(rng.uniform(size=(1, 3, px, px)).astype(np.float32))
         got = nst_net.forward(style, content).data
-        monkeypatch.setattr("stylemix.nst._crop", lambda x, h, w: x[:, :, :h, :w])
+        monkeypatch.setattr(nst_mod, "_rows", lambda x, r0, r1, w=None: x[:, :, r0:r1, :w])
         assert np.array_equal(got, nst_net.forward(style, content).data)
 
     @pytest.mark.parametrize("band_elements", [1, 1 << 40])

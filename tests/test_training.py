@@ -444,19 +444,21 @@ class TestTrain:
 
     def test_fixed_seed_runs_are_bit_identical(self, corpus, tmp_path):
         config = TrainConfig(steps=4, seed=7, **MICRO_TRAIN)
-        a = train(config, corpus, net=micro_net(7))
-        b = train(config, corpus, net=micro_net(7))
+        net_a, net_b = micro_net(7), micro_net(7)
+        a = train(config, corpus, net=net_a)
+        b = train(config, corpus, net=net_b)
         assert a.losses == b.losses
         path_a, path_b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(path_a, a.net.state_arrays())
-        save_checkpoint(path_b, b.net.state_arrays())
+        save_checkpoint(path_a, net_a.state_arrays())
+        save_checkpoint(path_b, net_b.state_arrays())
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_resume_from_checkpoint_is_reproducible(self, corpus, tmp_path):
         config = TrainConfig(steps=3, seed=9, **MICRO_TRAIN)
-        first = train(config, corpus, net=micro_net(9))
+        first = micro_net(9)
+        train(config, corpus, net=first)
         path = tmp_path / "mid.ckpt"
-        save_checkpoint(path, first.net.state_arrays())
+        save_checkpoint(path, first.state_arrays())
 
         def resume_loss():
             net = FontNet.from_state(load_checkpoint(path))
@@ -510,9 +512,8 @@ class TestTrain:
             adam_step(params, state)
 
         monkeypatch.setattr(training, "adam_step", recording_adam_step)
-        adam = AdamState()
-        net = train(TrainConfig(steps=2, seed=2, **MICRO_TRAIN), corpus, net=micro_net(2),
-                    adam=adam).net
+        adam, net = AdamState(), micro_net(2)
+        train(TrainConfig(steps=2, seed=2, **MICRO_TRAIN), corpus, net=net, adam=adam)
         assert grad_dtypes == {np.dtype(np.float32)}
         assert {t.data.dtype for t in net.params.values()} == {np.dtype(np.float32)}
         assert set(adam.m) == set(adam.v) == set(net.params)
@@ -525,7 +526,8 @@ class TestTrain:
         assert image.dtype == np.float32
 
     def test_checkpoint_round_trip_is_bit_exact(self, corpus, tmp_path):
-        net = train(TrainConfig(steps=2, seed=4, **MICRO_TRAIN), corpus, net=micro_net(4)).net
+        net = micro_net(4)
+        train(TrainConfig(steps=2, seed=4, **MICRO_TRAIN), corpus, net=net)
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, net.state_arrays())
         want = net.state_arrays()
@@ -583,16 +585,16 @@ class TestTrain:
     def test_split_run_with_an_evaluation_between_equals_one_run(self, corpus):
         """Eval-mode batch norm updates no running statistics, so evaluate() is invisible."""
         config = TrainConfig(steps=4, seed=5, **MICRO_TRAIN)
-        whole = train(config, corpus, net=micro_net(5))
-        adam = AdamState()
-        first = train(TrainConfig(steps=2, seed=5, **MICRO_TRAIN), corpus, net=micro_net(5),
+        whole_net, split_net, adam = micro_net(5), micro_net(5), AdamState()
+        whole = train(config, corpus, net=whole_net)
+        first = train(TrainConfig(steps=2, seed=5, **MICRO_TRAIN), corpus, net=split_net,
                       adam=adam)
-        evaluate(first.net, build_eval_sets(corpus, r=2, seed=0, per_set=2))
+        evaluate(split_net, build_eval_sets(corpus, r=2, seed=0, per_set=2))
         second = train(TrainConfig(steps=2, start_step=2, seed=5, **MICRO_TRAIN), corpus,
-                       net=first.net, adam=adam)
+                       net=split_net, adam=adam)
         assert first.losses + second.losses == whole.losses
-        split_state = second.net.state_arrays()
-        whole_state = whole.net.state_arrays()
+        split_state = split_net.state_arrays()
+        whole_state = whole_net.state_arrays()
         assert split_state.keys() == whole_state.keys()
         for name, array in whole_state.items():
             assert np.array_equal(split_state[name], array), name
