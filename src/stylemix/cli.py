@@ -130,6 +130,8 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if Path(args.out).is_dir():  # else the run's last step, saving, fails
+        raise IsADirectoryError(f"--out {args.out} is a directory, not a checkpoint path")
     corpus = glyphs.load_corpus(args.corpus)
     config = TrainConfig(steps=args.steps, n_t=args.nt, seed=args.seed)
     # refused before a net --r references wide is built

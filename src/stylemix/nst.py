@@ -1,10 +1,11 @@
 """Statistic-matching style transfer: stats math, losses, and the networks.
 
 Style is carried by per-channel feature statistics. The content encoder
-produces feature maps; the style encoder regresses a (mean, std) vector per
+produces a feature map; the style encoder regresses a (mean, std) vector per
 channel; mixing re-normalizes the content features to carry the target
-statistics; the decoder maps the mixed features back to an image. Losses
-compare feature maps and their statistics through a fixed feature extractor.
+statistics; the decoder maps the mixed features back to an image whose (h, w)
+it is given. Each stage hands the next one map. Losses compare feature maps
+and their statistics through a fixed feature extractor.
 
 Both networks take RGB images; the CLI stacks a grayscale image into three
 channels. The loss extractor here is a seeded, randomly initialized four-stage
@@ -103,8 +104,11 @@ def statistic_match(f_con: Tensor, target: ChannelStats) -> Tensor:
     return (f_con - mean_o) / std_o * std_t + mean_t
 
 
-def _blend_stats(stats1: ChannelStats, stats2: ChannelStats, alpha: float) -> ChannelStats:
-    """The (1-alpha) stats1 + alpha stats2 blend of both the means and the stds."""
+def style_interpolate(f_con: Tensor, stats1: ChannelStats, stats2: ChannelStats,
+                      alpha: float) -> Tensor:
+    """Statistic match against a (1-alpha) stats1 / alpha stats2 blend of both
+    the means and the stds; with the content's own stats as stats1, alpha 0
+    keeps its style and 1 fully stylizes."""
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -112,14 +116,8 @@ def _blend_stats(stats1: ChannelStats, stats2: ChannelStats, alpha: float) -> Ch
     def blend(a, b):
         return as_tensor(a) * (1.0 - alpha) + as_tensor(b) * alpha
 
-    return ChannelStats(mean=blend(stats1.mean, stats2.mean), std=blend(stats1.std, stats2.std))
-
-
-def style_interpolate(f_con: Tensor, stats1: ChannelStats, stats2: ChannelStats,
-                      alpha: float) -> Tensor:
-    """Statistic match against a (1-alpha) stats1 / alpha stats2 blend; with the
-    content's own stats as stats1, alpha 0 keeps its style and 1 fully stylizes."""
-    return statistic_match(f_con, _blend_stats(stats1, stats2, alpha))
+    return statistic_match(f_con, ChannelStats(mean=blend(stats1.mean, stats2.mean),
+                                               std=blend(stats1.std, stats2.std)))
 
 
 # kept by name: perfbench/tracer.py wraps it, and the benchmark's smoke test fails without it
@@ -391,9 +389,8 @@ class NstNet(Model):
 
         return window, run
 
-    def _encode(self, prefix: str, x: Tensor, n_res: int):
-        """One encoder's ``conv_plan`` blocks, then ``n_res`` residual blocks;
-        returns the features and the spatial sizes eaten by each stride.
+    def _encode(self, prefix: str, x: Tensor, n_res: int) -> Tensor:
+        """One encoder's ``conv_plan`` blocks, then ``n_res`` residual blocks.
 
         The blocks run in stages, a stage being the blocks up to and
         including the next stride-2 block or the plan's last block; without
@@ -401,12 +398,10 @@ class NstNet(Model):
         none of its maps is held whole.
         """
         plan = self.config.conv_plan
-        sizes, steps = [], []
+        steps = []
         h, w = x.shape[2:]
         widest = x.shape[1] * w
         for i, (_, stride, channels) in enumerate(plan):
-            if stride > 1:
-                sizes.append((h, w))
             steps.append(self._conv_step(f"{prefix}.conv{i}", h, stride, leaky_relu))
             h, w = (h - 1) // stride + 1, (w - 1) // stride + 1
             widest = max(widest, channels * w)
@@ -415,49 +410,47 @@ class NstNet(Model):
                 steps, widest = [], channels * w
         for i in range(n_res):
             x = self._res_block(f"{prefix}.res{i}", x)
-        return x, sizes
+        return x
 
     def style_encode(self, x) -> ChannelStats:
         """Regress per-channel (mean, std) mixing targets from a style image."""
         cfg = self.config
-        out, _ = self._encode("style_enc", self._check_image(x, "style"), N_STYLE_RES)
+        out = self._encode("style_enc", self._check_image(x, "style"), N_STYLE_RES)
         pooled = global_avg_pool(out).reshape(out.shape[0], cfg.mix_channels)
         head = fully_connected(pooled, self.params["style_enc.fc.weight"],
                                self.params["style_enc.fc.bias"])
         return ChannelStats(mean=head[:, :cfg.mix_channels],
                             std=head[:, cfg.mix_channels:])
 
-    def content_encode(self, x):
-        """Content feature maps plus the spatial sizes eaten by each stride."""
+    def content_encode(self, x) -> Tensor:
+        """The content feature map; ``decode`` takes it back to ``x``'s size."""
         return self._encode("content_enc", self._check_image(x, "content"),
                             self.config.n_content_res)
 
-    def decode(self, f: Tensor, sizes) -> Tensor:
-        """Map mixed features back to image space (linear output).
+    def decode(self, f: Tensor, size) -> Tensor:
+        """Map mixed features back to an image of ``size`` (h, w), linear output.
 
+        ``size`` halved, rounded up, once per stride-2 block gives each up
+        block its size and must end at ``f``'s, else ShapeError is raised.
         After the residual blocks, each up block (x2 upsampling, crop, conv,
         relu) is a stage, and ``decoder.out`` ends the last one, or is the
         only one when the plan has no stride-2 block. Without a tape each
         stage runs in row bands of its output (``_in_bands``), so none of its
-        maps is held whole. ``sizes`` are ``content_encode``'s: each (h, w)
-        halves, rounded up, to the next and the last to ``f``'s; others raise
-        ShapeError.
+        maps is held whole.
         """
         cfg = self.config
-        if len(sizes) != cfg.n_strided:
-            raise ShapeError(f"decode expects {cfg.n_strided} recorded sizes, got {len(sizes)}")
-        size = tuple(f.shape[2:])
-        for h, w in reversed(sizes):
-            if ((h - 1) // 2 + 1, (w - 1) // 2 + 1) != size:
-                raise ShapeError(
-                    f"decode: sizes {list(sizes)} do not halve to the features' {size}")
-            size = (h, w)
+        h, w = size
+        sizes = []  # each up block's, deepest first
+        for _ in range(cfg.n_strided):
+            sizes.insert(0, (h, w))
+            h, w = (h - 1) // 2 + 1, (w - 1) // 2 + 1
+        if (h, w) != f.shape[2:]:
+            raise ShapeError(f"decode: size {size} halves to {(h, w)}, not {f.shape[2:]}")
         out = f
         for i in range(cfg.n_content_res):
             out = self._res_block(f"decoder.res{i}", out, 0.0)
-        h, w = out.shape[2:]
         stages = [] if sizes else [([], h, max(out.shape[1], IMAGE_CHANNELS) * w)]
-        for i, (h, w) in enumerate(reversed(sizes)):
+        for i, (h, w) in enumerate(sizes):
             name = f"decoder.up{i}"
             steps = [_upsample_step(w), self._conv_step(name, h, act=relu)]
             stages.append((steps, h, max(self.params[f"{name}.kernel"].shape[:2]) * w))
@@ -466,20 +459,22 @@ class NstNet(Model):
             out = _in_bands(steps, out, h, widest)
         return out
 
-    def mix_features(self, content_img, stats: ChannelStats):
-        """Content features re-normalized to ``stats``, plus the decoder's sizes."""
-        f, sizes = self.content_encode(content_img)
-        return statistic_match(f, stats), sizes
+    def mix_features(self, content_img, stats: ChannelStats) -> Tensor:
+        """The content feature map re-normalized to ``stats``, for ``decode``."""
+        return statistic_match(self.content_encode(content_img), stats)
 
     def forward(self, style_img, content_img) -> Tensor:
         """Stylize the content image with statistics from the style image."""
-        return self.decode(*self.mix_features(content_img, self.style_encode(style_img)))
+        stats, content = self.style_encode(style_img), self._input(content_img)
+        return self.decode(self.mix_features(content, stats), content.shape[2:])
 
     def forward_interpolate(self, style1_img, style2_img, content_img,
                             alpha: float) -> Tensor:
         """Interpolate between two style statistics."""
-        stats = _blend_stats(self.style_encode(style1_img), self.style_encode(style2_img), alpha)
-        return self.decode(*self.mix_features(content_img, stats))
+        stats = self.style_encode(style1_img), self.style_encode(style2_img)
+        content = self._input(content_img)
+        return self.decode(style_interpolate(self.content_encode(content), *stats, alpha),
+                           content.shape[2:])
 
 
 # ---------------------------------------------------------------------------

@@ -411,10 +411,10 @@ def train_nst_pair(net: NstNet, extractor: FeatureExtractor, style_img, content_
                                         dtype=net.dtype)) for img in (style_img, content_img))
     decoder = {name: p for name, p in net.params.items() if name.startswith("decoder.")}
     adam = AdamState(learning_rate=NST_LEARNING_RATE)
-    mixed, sizes = net.mix_features(content, net.style_encode(style))
+    mixed = net.mix_features(content, net.style_encode(style))
 
     def pair_loss():
-        return nst_objective(extractor, net.decode(mixed, sizes), content, style)[0]
+        return nst_objective(extractor, net.decode(mixed, content.shape[2:]), content, style)[0]
 
     trace: list = []
     try:

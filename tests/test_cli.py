@@ -111,6 +111,21 @@ class TestTrainCommand:
         lines = (tmp_path / "f.ckpt.log").read_text().splitlines()
         assert [line.split(",")[0] for line in lines] == ["0", "1", "2"]
 
+    def test_directory_out_is_refused_before_the_corpus_loads(self, corpus_dir, tmp_path,
+                                                              monkeypatch, capsys):
+        """An existing directory as --out exits 3, naming it, before the corpus
+        loads or the log opens, instead of failing at the save after every step."""
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("train loaded the corpus")
+
+        monkeypatch.setattr(glyphs, "load_corpus", no_corpus)
+        out = tmp_path / "c"
+        out.mkdir()
+        assert run("train", "--corpus", str(corpus_dir), "--r", "2", "--nt", "10",
+                   "--steps", "1", "--out", str(out)) == 3
+        assert str(out) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
     def test_same_seed_gives_identical_checkpoint_bytes(self, corpus_dir, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         for out in (a, b):

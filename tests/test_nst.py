@@ -316,22 +316,24 @@ def nst_net():
 
 def _reference_encode(net, prefix, x, n_res):
     """``NstNet._encode`` with every map held whole, block by block."""
-    sizes = []
     for i, (_, stride, _) in enumerate(net.config.conv_plan):
-        if stride > 1:
-            sizes.append((x.shape[2], x.shape[3]))
         x = leaky_relu(net._conv(f"{prefix}.conv{i}", x, stride))
     for i in range(n_res):
         x = net._res_block(f"{prefix}.res{i}", x)
-    return x, sizes
+    return x
 
 
-def _reference_decode(net, f, sizes):
+def _reference_decode(net, f, size):
     """``NstNet.decode`` with every map held whole, block by block."""
+    h, w = size
+    sizes = []  # each up block's size, deepest first
+    for _ in range(net.config.n_strided):
+        sizes.insert(0, (h, w))
+        h, w = (h + 1) // 2, (w + 1) // 2
     out = f
     for i in range(net.config.n_content_res):
         out = net._res_block(f"decoder.res{i}", out, 0.0)
-    for i, (h, w) in enumerate(reversed(sizes)):
+    for i, (h, w) in enumerate(sizes):
         up = upsample_nearest(out, 2)
         out = relu(net._conv(f"decoder.up{i}", up if up.shape[2:] == (h, w)
                                      else up[:, :, :h, :w]))
@@ -358,7 +360,7 @@ class TestNstNet:
         monkeypatch.setattr(nst_mod, "BAND_ELEMENTS", 1)
         rng = np.random.default_rng(12)
         image = Tensor(rng.uniform(size=(1, 3, 32, 32)).astype(np.float32))
-        mixed, sizes = nst_net.mix_features(image, nst_net.style_encode(image))
+        mixed = nst_net.mix_features(image, nst_net.style_encode(image))
         tapes = {}
         for name, encode, decode in (
                 ("banded", nst_net._encode, nst_net.decode),
@@ -367,7 +369,7 @@ class TestNstNet:
             graph = Graph()
             with graph:
                 encode("content_enc", image, nst_net.config.n_content_res)
-                decode(mixed, sizes)
+                decode(mixed, image.shape[2:])
             tapes[name] = [node.vjp.__qualname__.split(".")[0] for node in graph._nodes]
         assert tapes["banded"] == tapes["reference"]
         assert "upsample_nearest" in tapes["banded"] and "take" not in tapes["banded"]
@@ -387,9 +389,9 @@ class TestNstNet:
         rng = np.random.default_rng(list(shape))
         style, content = (Tensor(rng.uniform(size=(2, 3) + shape).astype(np.float32))
                           for _ in range(2))
-        mixed, sizes = net.mix_features(content, net.style_encode(style))
-        f, _ = _reference_encode(net, "content_enc", content, config.n_content_res)
-        reference = _reference_decode(net, mixed, sizes).data
+        mixed = net.mix_features(content, net.style_encode(style))
+        f = _reference_encode(net, "content_enc", content, config.n_content_res)
+        reference = _reference_decode(net, mixed, shape).data
         convs = []
 
         def counted(*args, **kwargs):
@@ -401,9 +403,9 @@ class TestNstNet:
         for band_elements in (1, 2000, 6000, 1 << 40):
             monkeypatch.setattr(nst_mod, "BAND_ELEMENTS", band_elements)
             convs.clear()
-            f_got = net.content_encode(content)[0].data
+            f_got = net.content_encode(content).data
             encode_convs = len(convs)
-            outputs[band_elements] = (f_got, encode_convs, net.decode(mixed, sizes).data,
+            outputs[band_elements] = (f_got, encode_convs, net.decode(mixed, shape).data,
                                       len(convs) - encode_convs)
         whole_f, whole_encode_convs, whole, whole_decode_convs = outputs.pop(1 << 40)
         assert np.array_equal(whole_f, f.data) and np.array_equal(whole, reference)
@@ -427,16 +429,17 @@ class TestNstNet:
     @pytest.mark.parametrize("other", [(66, 64), (64, 66), (60, 64), (66, 66)])
     def test_decode_refuses_the_sizes_of_another_image(self, nst_net, monkeypatch,
                                                         band_elements, other):
-        """Features of a 64 px image with the sizes of an image whose x2 chain ends
+        """Features of a 64 px image with the size of an image whose x2 chain ends
         elsewhere (66 -> 33 -> 17, not 16): refused, at 1-row and whole-map bands,
-        instead of an image with rows no band wrote."""
+        instead of an image with rows no band wrote. A size whose chain also
+        ends at 16 x 16, 63 x 61, decodes to that size."""
         monkeypatch.setattr(nst_mod, "BAND_ELEMENTS", band_elements)
         rng = np.random.default_rng(13)
-        f, sizes = nst_net.content_encode(rng.uniform(size=(1, 3, 64, 64)).astype(np.float32))
-        _, wrong = nst_net.content_encode(rng.uniform(size=(1, 3) + other).astype(np.float32))
-        assert nst_net.decode(f, sizes).shape == (1, 3, 64, 64)
-        with pytest.raises(ShapeError, match="sizes"):
-            nst_net.decode(f, wrong)
+        f = nst_net.content_encode(rng.uniform(size=(1, 3, 64, 64)).astype(np.float32))
+        assert nst_net.decode(f, (64, 64)).shape == (1, 3, 64, 64)
+        assert nst_net.decode(f, (63, 61)).shape == (1, 3, 63, 61)
+        with pytest.raises(ShapeError, match="size"):
+            nst_net.decode(f, other)
 
     def test_deterministic(self, nst_net):
         rng = np.random.default_rng(11)
@@ -450,7 +453,7 @@ class TestNstNet:
         """Forcing the target stats to the content's own stats is a no-op mix."""
         rng = np.random.default_rng(12)
         content = Tensor(rng.uniform(size=(1, 3, 24, 24)))
-        f, _ = nst_net.content_encode(content)
+        f = nst_net.content_encode(content)
         mixed = statistic_match(f, channel_stats(f))
         assert np.abs(mixed.data - f.data).max() <= 1e-9
 
@@ -557,7 +560,7 @@ class TestFloat32Inference:
         net = nets_by_dtype[dtype]
         image = Tensor(rng.uniform(size=(1, 3, 16, 16)).astype(dtype))
         stats = net.style_encode(image)
-        f, _ = net.content_encode(image)
+        f = net.content_encode(image)
         assert stats.mean.data.dtype == dtype and stats.std.data.dtype == dtype
         assert statistic_match(f, stats).data.dtype == dtype
         assert style_interpolate(f, stats, channel_stats(f), 0.3).data.dtype == dtype
